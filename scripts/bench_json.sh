@@ -29,7 +29,7 @@ if [[ "${SPECINFER_NATIVE:-0}" == "1" ]]; then
 fi
 cmake --preset release -DSPECINFER_NATIVE="${native}" >/dev/null
 cmake --build --preset release --target micro_kernels micro_serving \
-    ablation_prefix_sharing >/dev/null
+    ablation_prefix_sharing ablation_overload >/dev/null
 
 rev="$(git rev-parse --short HEAD)"
 if ! git diff --quiet HEAD -- ':!BENCH_kernels.json' \

@@ -133,7 +133,7 @@ cmake --build --preset tsan
 SPECINFER_SOAK_ITERATIONS=1500 SPECINFER_RECOVERY_TRIALS=60 \
 SPECINFER_RECOVERY_SOAK_ITERATIONS=800 \
 ctest --preset tsan \
-      -R 'ThreadPool|ThreadedForward|Fault|Recovery|Journal|Crc32|Concurrency|Tracer|WorkloadTrace|OverheadGuard|KvSharing|PrefixSharing|Ring|Int8|Watchdog|SupervisorPolicy|Priority|Overload|Parallel|Collective|ShardedForward'
+      -R 'ThreadPool|ThreadedForward|Fault|Recovery|Journal|Crc32|Concurrency|Tracer|WorkloadTrace|OverheadGuard|KvSharing|PrefixSharing|Ring|Int8|Watchdog|SupervisorPolicy|Priority|Overload|Parallel|Collective|ShardedForward|GemmProperty'
 
 for b in build/bench/*; do
     echo "=== $b ==="

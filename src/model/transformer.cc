@@ -115,23 +115,49 @@ Transformer::forward(const DecodeChunk &chunk, KvCache &cache) const
     // precision anchors the residual stream. The two scratch
     // QTensors are reused across phases and layers so the chunk
     // allocates exactly two int8 buffers per forward. t_quant and
-    // t_i8gemm are sub-phase breakdowns: the existing phase timers
-    // (t_kv, ...) still cover the whole phase either way.
+    // t_i8gemm are sub-phase breakdowns, published for int8 models
+    // only: the existing phase timers (t_kv, ...) still cover the
+    // whole phase either way.
     const bool int8 = cfg_.precision == Precision::Int8;
     tensor::QTensor q_act_d;  // [m x dModel] activation scratch
     tensor::QTensor q_act_ff; // [m x dFf] activation scratch
     uint64_t t_quant = 0, t_i8gemm = 0;
     auto quantizeInto = [&](const tensor::Tensor &src,
                             tensor::QTensor &dst) {
+        if (!int8)
+            return;
         const uint64_t q0 = now();
         tensor::quantizeRows(src, dst);
         t_quant += now() - q0;
     };
 
+    // A projection operand in both precisions: an fp32 tensor and
+    // its int8 mirror (an activation's quantizeInto() scratch or a
+    // weight's quantized copy). project() multiplies the pair the
+    // model's precision selects, so each projection below is one
+    // call whatever the precision.
+    struct Operand
+    {
+        const tensor::Tensor &f;
+        const tensor::QTensor &q;
+    };
+    auto project = [&](Operand act, Operand w, size_t k0, size_t k1,
+                       size_t j0, size_t j1, float *out,
+                       size_t out_stride) {
+        if (int8)
+            tensor::matmulTransposedBSlice(act.q, w.q, k0, k1, j0, j1,
+                                           out, out_stride);
+        else
+            tensor::matmulTransposedBSlice(act.f, w.f, k0, k1, j0, j1,
+                                           out, out_stride);
+    };
+    // The int8 side of an fp32 model's weight operands: never read.
+    static const QuantizedLayer no_quant{};
+
     // Tensor-parallel execution (DESIGN.md §5j). The forward runs as
     // orchestrated fork-join phases: forEachRank() runs one body per
-    // rank — inline at tp=1 (so the unsharded path keeps the legacy
-    // GEMMs' internal pool threading), on pool workers at tp>1
+    // rank — inline at tp=1 (so the unsharded path keeps the GEMM's
+    // internal pool threading), on pool workers at tp>1
     // (nested GEMM parallelFors then degrade to inline, giving one
     // serial tile per rank). The collectives run on the orchestrator
     // thread between phases, after every rank body has joined.
@@ -243,8 +269,8 @@ Transformer::forward(const DecodeChunk &chunk, KvCache &cache) const
 
     for (size_t layer = 0; layer < cfg_.nLayers; ++layer) {
         const LayerWeights &lw = weights_->layers[layer];
-        const QuantizedLayer *ql =
-            int8 ? &weights_->qLayers[layer] : nullptr;
+        const QuantizedLayer &ql =
+            int8 ? weights_->qLayers[layer] : no_quant;
 
         // Attention RMSNorm, once per (layer, token); both the K/V
         // and Q projections read this buffer.
@@ -263,35 +289,21 @@ Transformer::forward(const DecodeChunk &chunk, KvCache &cache) const
         // the cache layout — and every value bit — is identical to
         // the unsharded path at any tp.
         uint64_t t0 = now();
-        if (int8) {
-            // One activation quantization of `normed` serves the K,
-            // V, and Q projections below (full-row scales, so the
-            // quantization grid never depends on tp).
-            quantizeInto(normed, q_act_d);
-        }
+        // One activation quantization of `normed` serves the K, V,
+        // and Q projections below (full-row scales, so the
+        // quantization grid never depends on tp).
+        quantizeInto(normed, q_act_d);
         uint64_t g0 = now();
         forEachRank([&](size_t r) {
             const auto hr = headRange(r);
             const size_t c0 = hr.first * d_head;
             const size_t c1 = hr.second * d_head;
-            if (int8) {
-                tensor::matmulTransposedBSlice(
-                    q_act_d, ql->wk, 0, d, c0, c1,
+            project({normed, q_act_d}, {lw.wk, ql.wk}, 0, d, c0, c1,
                     cache.keyRow(layer, base) + c0, cache.kvDim());
-                tensor::matmulTransposedBSlice(
-                    q_act_d, ql->wv, 0, d, c0, c1,
+            project({normed, q_act_d}, {lw.wv, ql.wv}, 0, d, c0, c1,
                     cache.valueRow(layer, base) + c0, cache.kvDim());
-            } else {
-                tensor::matmulTransposedBSlice(
-                    normed, lw.wk, 0, d, c0, c1,
-                    cache.keyRow(layer, base) + c0, cache.kvDim());
-                tensor::matmulTransposedBSlice(
-                    normed, lw.wv, 0, d, c0, c1,
-                    cache.valueRow(layer, base) + c0, cache.kvDim());
-            }
         });
-        if (int8)
-            t_i8gemm += now() - g0;
+        t_i8gemm += now() - g0;
         pool.parallelFor(0, m, [&](size_t i) {
             tensor::ropeRowCached(cache.keyRow(layer, base + i),
                                   n_heads, d_head, rope_tab.row(i));
@@ -306,20 +318,10 @@ Transformer::forward(const DecodeChunk &chunk, KvCache &cache) const
             const auto hr = headRange(r);
             const size_t c0 = hr.first * d_head;
             const size_t c1 = hr.second * d_head;
-            if (int8) {
-                tensor::matmulTransposedBSlice(q_act_d, ql->wq, 0, d,
-                                               c0, c1,
-                                               q_all.data() + c0,
-                                               q_all.cols());
-            } else {
-                tensor::matmulTransposedBSlice(normed, lw.wq, 0, d,
-                                               c0, c1,
-                                               q_all.data() + c0,
-                                               q_all.cols());
-            }
+            project({normed, q_act_d}, {lw.wq, ql.wq}, 0, d, c0, c1,
+                    q_all.data() + c0, q_all.cols());
         });
-        if (int8)
-            t_i8gemm += now() - g0;
+        t_i8gemm += now() - g0;
         pool.parallelFor(0, m, [&](size_t i) {
             tensor::ropeRowCached(q_all.row(i), n_heads, d_head,
                                   rope_tab.row(i));
@@ -399,25 +401,15 @@ Transformer::forward(const DecodeChunk &chunk, KvCache &cache) const
         // all nHeads partials into proj with one ordered
         // allReduceSum; the fold never sees rank boundaries, so the
         // sum is bit-identical at every tp.
-        if (int8)
-            quantizeInto(attn_out, q_act_d);
+        quantizeInto(attn_out, q_act_d);
         g0 = now();
         forEachRank([&](size_t r) {
             const auto hr = headRange(r);
-            for (size_t b = hr.first; b < hr.second; ++b) {
-                if (int8) {
-                    tensor::matmulTransposedBSlice(
-                        q_act_d, ql->wo, b * d_head, (b + 1) * d_head,
-                        0, d, partials.row(b * m), d);
-                } else {
-                    tensor::matmulTransposedBSlice(
-                        attn_out, lw.wo, b * d_head, (b + 1) * d_head,
-                        0, d, partials.row(b * m), d);
-                }
-            }
+            for (size_t b = hr.first; b < hr.second; ++b)
+                project({attn_out, q_act_d}, {lw.wo, ql.wo}, b * d_head,
+                        (b + 1) * d_head, 0, d, partials.row(b * m), d);
         });
-        if (int8)
-            t_i8gemm += now() - g0;
+        t_i8gemm += now() - g0;
         comm.allReduceSum(parts, proj.data(), m * d);
         pool.parallelFor(0, m, [&](size_t i) {
             tensor::addRow(hidden.row(i), proj.row(i), d);
@@ -435,55 +427,35 @@ Transformer::forward(const DecodeChunk &chunk, KvCache &cache) const
             tensor::rmsnormRow(hidden.row(i), lw.ffnNorm.data(), d,
                                normed.row(i));
         });
-        if (int8)
-            quantizeInto(normed, q_act_d);
+        quantizeInto(normed, q_act_d);
         g0 = now();
         forEachRank([&](size_t r) {
             const auto fr = parallel::shardRange(cfg_.dFf, tp, r);
-            if (int8) {
-                tensor::matmulTransposedBSlice(
-                    q_act_d, ql->wGate, 0, d, fr.first, fr.second,
-                    gate.data() + fr.first, gate.cols());
-                tensor::matmulTransposedBSlice(
-                    q_act_d, ql->wUp, 0, d, fr.first, fr.second,
-                    up.data() + fr.first, up.cols());
-            } else {
-                tensor::matmulTransposedBSlice(
-                    normed, lw.wGate, 0, d, fr.first, fr.second,
-                    gate.data() + fr.first, gate.cols());
-                tensor::matmulTransposedBSlice(
-                    normed, lw.wUp, 0, d, fr.first, fr.second,
-                    up.data() + fr.first, up.cols());
-            }
+            project({normed, q_act_d}, {lw.wGate, ql.wGate}, 0, d,
+                    fr.first, fr.second, gate.data() + fr.first,
+                    gate.cols());
+            project({normed, q_act_d}, {lw.wUp, ql.wUp}, 0, d, fr.first,
+                    fr.second, up.data() + fr.first, up.cols());
         });
-        if (int8)
-            t_i8gemm += now() - g0;
+        t_i8gemm += now() - g0;
         pool.parallelFor(0, m, [&](size_t i) {
             tensor::siluRow(gate.row(i), cfg_.dFf);
             tensor::mulRows(gate.row(i), gate.row(i), up.row(i),
                             cfg_.dFf);
         });
-        if (int8)
-            quantizeInto(gate, q_act_ff);
+        quantizeInto(gate, q_act_ff);
         g0 = now();
         forEachRank([&](size_t r) {
             const auto hr = headRange(r);
             for (size_t b = hr.first; b < hr.second; ++b) {
                 const auto fb =
                     parallel::shardRange(cfg_.dFf, n_heads, b);
-                if (int8) {
-                    tensor::matmulTransposedBSlice(
-                        q_act_ff, ql->wDown, fb.first, fb.second, 0,
-                        d, partials.row(b * m), d);
-                } else {
-                    tensor::matmulTransposedBSlice(
-                        gate, lw.wDown, fb.first, fb.second, 0, d,
-                        partials.row(b * m), d);
-                }
+                project({gate, q_act_ff}, {lw.wDown, ql.wDown},
+                        fb.first, fb.second, 0, d, partials.row(b * m),
+                        d);
             }
         });
-        if (int8)
-            t_i8gemm += now() - g0;
+        t_i8gemm += now() - g0;
         comm.allReduceSum(parts, proj.data(), m * d);
         pool.parallelFor(0, m, [&](size_t i) {
             tensor::addRow(hidden.row(i), proj.row(i), d);
@@ -494,26 +466,20 @@ Transformer::forward(const DecodeChunk &chunk, KvCache &cache) const
     // Final norm + LM head, batched. The head is column-parallel
     // over the vocab: full-k dots into per-rank slabs, concatenated
     // by one allGather — exact, so logits match the unsharded GEMM
-    // bitwise. At tp=1 the slab and gather are skipped (the legacy
-    // direct write into logits computes the same elements).
+    // bitwise. At tp=1 the slab and gather are skipped (the direct
+    // write into logits computes the same elements).
     const uint64_t t_head_start = now();
     tensor::Tensor logits(m, cfg_.vocabSize);
     pool.parallelFor(0, m, [&](size_t i) {
         tensor::rmsnormRow(hidden.row(i), weights_->finalNorm.data(),
                            d, normed.row(i));
     });
-    if (int8)
-        quantizeInto(normed, q_act_d);
+    quantizeInto(normed, q_act_d);
+    const Operand lm_head{weights_->lmHead, weights_->qLmHead};
     uint64_t g0 = now();
     if (tp == 1) {
-        if (int8) {
-            tensor::matmulTransposedBInto(q_act_d, weights_->qLmHead,
-                                          logits.data(),
-                                          logits.cols());
-        } else {
-            tensor::matmulTransposedB(normed, weights_->lmHead,
-                                      logits);
-        }
+        project({normed, q_act_d}, lm_head, 0, d, 0, cfg_.vocabSize,
+                logits.data(), logits.cols());
     } else {
         std::vector<tensor::Tensor> lm_shards;
         std::vector<const float *> lm_srcs(tp);
@@ -530,23 +496,14 @@ Transformer::forward(const DecodeChunk &chunk, KvCache &cache) const
                 parallel::shardRange(cfg_.vocabSize, tp, r);
             if (vr.second == vr.first)
                 return;
-            if (int8) {
-                tensor::matmulTransposedBSlice(
-                    q_act_d, weights_->qLmHead, 0, d, vr.first,
+            project({normed, q_act_d}, lm_head, 0, d, vr.first,
                     vr.second, lm_shards[r].data(),
                     lm_shards[r].cols());
-            } else {
-                tensor::matmulTransposedBSlice(
-                    normed, weights_->lmHead, 0, d, vr.first,
-                    vr.second, lm_shards[r].data(),
-                    lm_shards[r].cols());
-            }
         });
         comm.allGatherColumns(lm_srcs, m, cfg_.vocabSize,
                               logits.data());
     }
-    if (int8)
-        t_i8gemm += now() - g0;
+    t_i8gemm += now() - g0;
     pool.parallelFor(0, m, [&](size_t i) {
         tensor::scaleRow(logits.row(i), cfg_.vocabSize,
                          cfg_.logitScale);

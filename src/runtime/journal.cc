@@ -9,6 +9,7 @@
 #endif
 
 #include "obs/obs.h"
+#include "runtime/request.h"
 #include "util/logging.h"
 
 namespace specinfer {
@@ -213,6 +214,10 @@ parsePayload(const std::string &payload, JournalRecord &rec)
         rec.deadlineIterations = r.pod<uint64_t>();
         rec.deadlineNanos = r.pod<uint64_t>();
         rec.priority = r.pod<uint8_t>();
+        // A class byte past the last Priority would index the
+        // per-class bucket and shed arrays out of bounds on replay.
+        if (rec.priority >= kPriorityCount)
+            return false;
         rec.prompt = r.podVector<int>();
         break;
       case RecordType::Step:

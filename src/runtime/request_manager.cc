@@ -42,6 +42,16 @@ using model::io::readPodVector;
 using model::io::writePod;
 using model::io::writePodVector;
 
+Priority
+readPriority(std::istream &in)
+{
+    const uint8_t raw = readPod<uint8_t>(in);
+    SPECINFER_CHECK(raw < kPriorityCount,
+                    "snapshot priority class " << unsigned{raw}
+                                               << " out of range");
+    return static_cast<Priority>(raw);
+}
+
 void
 writeRequest(std::ostream &out, const Request &req)
 {
@@ -66,7 +76,7 @@ readRequest(std::istream &in)
     req.maxNewTokens = readPod<uint64_t>(in);
     req.deadlineIterations = readPod<uint64_t>(in);
     req.deadlineNanos = readPod<uint64_t>(in);
-    req.priority = static_cast<Priority>(readPod<uint8_t>(in));
+    req.priority = readPriority(in);
     req.preemptionCount = readPod<uint64_t>(in);
     req.earliestRestart = readPod<uint64_t>(in);
     return req;
@@ -130,7 +140,7 @@ readResult(std::istream &in)
     res.startIteration = readPod<uint64_t>(in);
     res.finishIteration = readPod<uint64_t>(in);
     res.preemptions = readPod<uint64_t>(in);
-    res.priority = static_cast<Priority>(readPod<uint8_t>(in));
+    res.priority = readPriority(in);
     return res;
 }
 

@@ -7,7 +7,7 @@
  *
  * Namespaces:
  *   specinfer::model     transformer substrate (tree attention,
- *                        KV cache, samplers, beam search, I/O)
+ *                        KV cache, samplers, I/O)
  *   specinfer::core      token trees, speculation, verification,
  *                        the SpecEngine loop, boost tuning
  *   specinfer::runtime   continuous batching, KV memory accounting
@@ -25,7 +25,6 @@
 #include "core/speculator.h"
 #include "core/token_tree.h"
 #include "core/verifier.h"
-#include "model/beam_search.h"
 #include "model/config.h"
 #include "model/kv_cache.h"
 #include "model/model_factory.h"

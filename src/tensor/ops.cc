@@ -17,7 +17,7 @@ namespace {
 
 /**
  * Rows of the B (weight) matrix processed per block in the
- * transposed-B GEMMs. 32 rows x 512 floats (the largest k in the
+ * transposed-B GEMM. 32 rows x 512 floats (the largest k in the
  * model zoo) is 64 KiB — the block B rows stay L1/L2-resident while
  * being reused across every activation row, which is where batching
  * an m-token chunk beats m independent matvec sweeps.
@@ -25,28 +25,32 @@ namespace {
 constexpr size_t kGemmRowBlock = 32;
 
 /**
- * One GEMM tile: out rows [i_lo, i_hi) x weight rows [jb, j_hi) of
- * a * b^T over raw base pointers (the j loop is a dot per ~10 ns,
- * so even a bounds-checked row() call per iteration is measurable).
- * Element values are dotRow() over full k — tiling only reorders
+ * One GEMM tile: activation rows [i_lo, i_hi) x local weight rows
+ * [jb, j_hi) of a * b^T over raw base pointers (the j loop is a dot
+ * per ~10 ns, so even a bounds-checked row() call per iteration is
+ * measurable). Row strides let the dot run over a k-slice of rows
+ * wider than the slice: a_base/b_base are pre-offset to the slice
+ * start, and local weight row j lives at b_base + j * b_stride.
+ * Element values are dotRow() over the slice — tiling only reorders
  * which elements are computed when, never how one is reduced.
  */
 void
-gemmBlockGeneric(const float *a_base, const float *b_base, float *out,
-                 size_t out_stride, size_t k, size_t i_lo, size_t i_hi,
-                 size_t jb, size_t j_hi)
+gemmTileGeneric(const float *a_base, size_t a_stride,
+                const float *b_base, size_t b_stride, float *out,
+                size_t out_stride, size_t len, size_t i_lo,
+                size_t i_hi, size_t jb, size_t j_hi)
 {
     for (size_t i = i_lo; i < i_hi; ++i) {
-        const float *a_row = a_base + i * k;
+        const float *a_row = a_base + i * a_stride;
         float *out_row = out + i * out_stride;
         for (size_t j = jb; j < j_hi; ++j)
-            out_row[j] = dotRow(a_row, b_base + j * k, k);
+            out_row[j] = dotRow(a_row, b_base + j * b_stride, len);
     }
 }
 
-using GemmBlockFn = void (*)(const float *, const float *, float *,
-                             size_t, size_t, size_t, size_t, size_t,
-                             size_t);
+using GemmTileFn = void (*)(const float *, size_t, const float *,
+                            size_t, float *, size_t, size_t, size_t,
+                            size_t, size_t, size_t);
 
 #if defined(__x86_64__) && defined(__GNUC__)
 
@@ -83,15 +87,16 @@ dotRowAvx2(const float *a, const float *b, size_t n)
 }
 
 __attribute__((target("avx2"))) void
-gemmBlockAvx2(const float *a_base, const float *b_base, float *out,
-              size_t out_stride, size_t k, size_t i_lo, size_t i_hi,
-              size_t jb, size_t j_hi)
+gemmTileAvx2(const float *a_base, size_t a_stride,
+             const float *b_base, size_t b_stride, float *out,
+             size_t out_stride, size_t len, size_t i_lo, size_t i_hi,
+             size_t jb, size_t j_hi)
 {
     for (size_t i = i_lo; i < i_hi; ++i) {
-        const float *a_row = a_base + i * k;
+        const float *a_row = a_base + i * a_stride;
         float *out_row = out + i * out_stride;
         for (size_t j = jb; j < j_hi; ++j)
-            out_row[j] = dotRowAvx2(a_row, b_base + j * k, k);
+            out_row[j] = dotRowAvx2(a_row, b_base + j * b_stride, len);
     }
 }
 
@@ -102,46 +107,50 @@ gemmBlockAvx2(const float *a_base, const float *b_base, float *out,
  * results (see dotRowAvx2), so the choice of ISA never changes
  * output, only throughput.
  */
-GemmBlockFn
-gemmBlock()
+GemmTileFn
+gemmTile()
 {
 #if defined(__x86_64__) && defined(__GNUC__)
-    static const GemmBlockFn fn = __builtin_cpu_supports("avx2")
-                                      ? gemmBlockAvx2
-                                      : gemmBlockGeneric;
+    static const GemmTileFn fn = __builtin_cpu_supports("avx2")
+                                     ? gemmTileAvx2
+                                     : gemmTileGeneric;
 #else
-    static const GemmBlockFn fn = gemmBlockGeneric;
+    static const GemmTileFn fn = gemmTileGeneric;
 #endif
     return fn;
 }
 
 /**
- * One int8 GEMM tile, scalar reference. Every element is the exact
- * int32 dot dotRowI8() scaled by the two per-row fp32 scales — the
- * single float expression all int8 tiles share. Because the integer
- * dot is exact, tiling and threading can never change a bit.
+ * One int8 GEMM tile, scalar reference, with the float tile's
+ * strided layout (b_scales is pre-offset like b_base). Every element
+ * is the exact int32 dotRowI8() over the slice scaled by the two
+ * per-row fp32 scales — the single float expression all int8 tiles
+ * share. Because the integer dot is exact, tiling and threading can
+ * never change a bit.
  */
 void
-gemmBlockI8Generic(const int8_t *a_base, const float *a_scales,
-                   const int8_t *b_base, const float *b_scales,
-                   float *out, size_t out_stride, size_t k,
-                   size_t i_lo, size_t i_hi, size_t jb, size_t j_hi)
+gemmTileI8Generic(const int8_t *a_base, size_t a_stride,
+                  const float *a_scales, const int8_t *b_base,
+                  size_t b_stride, const float *b_scales, float *out,
+                  size_t out_stride, size_t len, size_t i_lo,
+                  size_t i_hi, size_t jb, size_t j_hi)
 {
     for (size_t i = i_lo; i < i_hi; ++i) {
-        const int8_t *a_row = a_base + i * k;
+        const int8_t *a_row = a_base + i * a_stride;
         const float sa = a_scales[i];
         float *out_row = out + i * out_stride;
         for (size_t j = jb; j < j_hi; ++j) {
-            const int32_t acc = dotRowI8(a_row, b_base + j * k, k);
+            const int32_t acc =
+                dotRowI8(a_row, b_base + j * b_stride, len);
             out_row[j] = static_cast<float>(acc) * (sa * b_scales[j]);
         }
     }
 }
 
-using GemmBlockI8Fn = void (*)(const int8_t *, const float *,
-                               const int8_t *, const float *, float *,
-                               size_t, size_t, size_t, size_t, size_t,
-                               size_t);
+using GemmTileI8Fn = void (*)(const int8_t *, size_t, const float *,
+                              const int8_t *, size_t, const float *,
+                              float *, size_t, size_t, size_t, size_t,
+                              size_t, size_t);
 
 #if defined(__x86_64__) && defined(__GNUC__)
 
@@ -202,28 +211,29 @@ dotRowI8Avx2(const int8_t *a, const int8_t *b, size_t n)
  * the scalar reference by construction.
  */
 __attribute__((target("avx2"))) void
-gemmBlockI8Avx2(const int8_t *a_base, const float *a_scales,
-                const int8_t *b_base, const float *b_scales,
-                float *out, size_t out_stride, size_t k,
-                size_t i_lo, size_t i_hi, size_t jb, size_t j_hi)
+gemmTileI8Avx2(const int8_t *a_base, size_t a_stride,
+               const float *a_scales, const int8_t *b_base,
+               size_t b_stride, const float *b_scales, float *out,
+               size_t out_stride, size_t len, size_t i_lo,
+               size_t i_hi, size_t jb, size_t j_hi)
 {
+    const size_t len32 = len & ~size_t{31};
     for (size_t i = i_lo; i < i_hi; ++i) {
-        const int8_t *a_row = a_base + i * k;
+        const int8_t *a_row = a_base + i * a_stride;
         const float sa = a_scales[i];
         float *out_row = out + i * out_stride;
-        const size_t k32 = k & ~size_t{31};
         size_t j = jb;
         for (; j + 4 <= j_hi; j += 4) {
-            const int8_t *b0 = b_base + j * k;
-            const int8_t *b1 = b0 + k;
-            const int8_t *b2 = b1 + k;
-            const int8_t *b3 = b2 + k;
+            const int8_t *b0 = b_base + j * b_stride;
+            const int8_t *b1 = b0 + b_stride;
+            const int8_t *b2 = b1 + b_stride;
+            const int8_t *b3 = b2 + b_stride;
             __m256i acc0 = _mm256_setzero_si256();
             __m256i acc1 = _mm256_setzero_si256();
             __m256i acc2 = _mm256_setzero_si256();
             __m256i acc3 = _mm256_setzero_si256();
             size_t kk = 0;
-            for (; kk < k32; kk += 32) {
+            for (; kk < len32; kk += 32) {
                 const __m256i va = _mm256_loadu_si256(
                     reinterpret_cast<const __m256i *>(a_row + kk));
                 const __m256i abs_a = _mm256_abs_epi8(va);
@@ -241,10 +251,10 @@ gemmBlockI8Avx2(const int8_t *a_base, const float *a_scales,
             __m128i t4 =
                 _mm_add_epi32(_mm256_castsi256_si128(h),
                               _mm256_extracti128_si256(h, 1));
-            if (kk < k) {
+            if (kk < len) {
                 alignas(16) int32_t t[4];
                 _mm_store_si128(reinterpret_cast<__m128i *>(t), t4);
-                for (; kk < k; ++kk) {
+                for (; kk < len; ++kk) {
                     const int32_t av = a_row[kk];
                     t[0] += av * static_cast<int32_t>(b0[kk]);
                     t[1] += av * static_cast<int32_t>(b1[kk]);
@@ -263,125 +273,6 @@ gemmBlockI8Avx2(const int8_t *a_base, const float *a_scales,
                           _mm_mul_ps(_mm_cvtepi32_ps(t4), scales));
         }
         for (; j < j_hi; ++j) {
-            const int32_t acc = dotRowI8Avx2(a_row, b_base + j * k, k);
-            out_row[j] = static_cast<float>(acc) * (sa * b_scales[j]);
-        }
-    }
-}
-
-#endif // x86_64 && GNUC
-
-/** One-time int8 tile dispatch, mirroring gemmBlock(). */
-GemmBlockI8Fn
-gemmBlockI8()
-{
-#if defined(__x86_64__) && defined(__GNUC__)
-    static const GemmBlockI8Fn fn = __builtin_cpu_supports("avx2")
-                                        ? gemmBlockI8Avx2
-                                        : gemmBlockI8Generic;
-#else
-    static const GemmBlockI8Fn fn = gemmBlockI8Generic;
-#endif
-    return fn;
-}
-
-/**
- * One slice-GEMM tile: activation rows [i_lo, i_hi) x local weight
- * rows [jb, j_hi), with explicit row strides so the dot can run over
- * a k-slice of rows that are wider than the slice (a_base/b_base are
- * pre-offset to the slice start; local weight row jj lives at
- * b_base + jj * b_stride). Element values are dotRow over the slice.
- */
-void
-gemmSliceGeneric(const float *a_base, size_t a_stride,
-                 const float *b_base, size_t b_stride, float *out,
-                 size_t out_stride, size_t len, size_t i_lo,
-                 size_t i_hi, size_t jb, size_t j_hi)
-{
-    for (size_t i = i_lo; i < i_hi; ++i) {
-        const float *a_row = a_base + i * a_stride;
-        float *out_row = out + i * out_stride;
-        for (size_t j = jb; j < j_hi; ++j)
-            out_row[j] = dotRow(a_row, b_base + j * b_stride, len);
-    }
-}
-
-using GemmSliceFn = void (*)(const float *, size_t, const float *,
-                             size_t, float *, size_t, size_t, size_t,
-                             size_t, size_t, size_t);
-
-#if defined(__x86_64__) && defined(__GNUC__)
-
-__attribute__((target("avx2"))) void
-gemmSliceAvx2(const float *a_base, size_t a_stride,
-              const float *b_base, size_t b_stride, float *out,
-              size_t out_stride, size_t len, size_t i_lo, size_t i_hi,
-              size_t jb, size_t j_hi)
-{
-    for (size_t i = i_lo; i < i_hi; ++i) {
-        const float *a_row = a_base + i * a_stride;
-        float *out_row = out + i * out_stride;
-        for (size_t j = jb; j < j_hi; ++j)
-            out_row[j] = dotRowAvx2(a_row, b_base + j * b_stride, len);
-    }
-}
-
-#endif // x86_64 && GNUC
-
-/** One-time slice-tile dispatch, mirroring gemmBlock(). */
-GemmSliceFn
-gemmSlice()
-{
-#if defined(__x86_64__) && defined(__GNUC__)
-    static const GemmSliceFn fn = __builtin_cpu_supports("avx2")
-                                      ? gemmSliceAvx2
-                                      : gemmSliceGeneric;
-#else
-    static const GemmSliceFn fn = gemmSliceGeneric;
-#endif
-    return fn;
-}
-
-/** Int8 slice tile, scalar reference: exact slice dot, one shared
- *  float expression (see matmulTransposedBSlice header contract). */
-void
-gemmSliceI8Generic(const int8_t *a_base, size_t a_stride,
-                   const float *a_scales, const int8_t *b_base,
-                   size_t b_stride, const float *b_scales, float *out,
-                   size_t out_stride, size_t len, size_t i_lo,
-                   size_t i_hi, size_t jb, size_t j_hi)
-{
-    for (size_t i = i_lo; i < i_hi; ++i) {
-        const int8_t *a_row = a_base + i * a_stride;
-        const float sa = a_scales[i];
-        float *out_row = out + i * out_stride;
-        for (size_t j = jb; j < j_hi; ++j) {
-            const int32_t acc =
-                dotRowI8(a_row, b_base + j * b_stride, len);
-            out_row[j] = static_cast<float>(acc) * (sa * b_scales[j]);
-        }
-    }
-}
-
-using GemmSliceI8Fn = void (*)(const int8_t *, size_t, const float *,
-                               const int8_t *, size_t, const float *,
-                               float *, size_t, size_t, size_t, size_t,
-                               size_t, size_t);
-
-#if defined(__x86_64__) && defined(__GNUC__)
-
-__attribute__((target("avx2"))) void
-gemmSliceI8Avx2(const int8_t *a_base, size_t a_stride,
-                const float *a_scales, const int8_t *b_base,
-                size_t b_stride, const float *b_scales, float *out,
-                size_t out_stride, size_t len, size_t i_lo,
-                size_t i_hi, size_t jb, size_t j_hi)
-{
-    for (size_t i = i_lo; i < i_hi; ++i) {
-        const int8_t *a_row = a_base + i * a_stride;
-        const float sa = a_scales[i];
-        float *out_row = out + i * out_stride;
-        for (size_t j = jb; j < j_hi; ++j) {
             const int32_t acc =
                 dotRowI8Avx2(a_row, b_base + j * b_stride, len);
             out_row[j] = static_cast<float>(acc) * (sa * b_scales[j]);
@@ -391,47 +282,75 @@ gemmSliceI8Avx2(const int8_t *a_base, size_t a_stride,
 
 #endif // x86_64 && GNUC
 
-GemmSliceI8Fn
-gemmSliceI8()
+/** One-time int8 tile dispatch, mirroring gemmTile(). */
+GemmTileI8Fn
+gemmTileI8()
 {
 #if defined(__x86_64__) && defined(__GNUC__)
-    static const GemmSliceI8Fn fn = __builtin_cpu_supports("avx2")
-                                        ? gemmSliceI8Avx2
-                                        : gemmSliceI8Generic;
+    static const GemmTileI8Fn fn = __builtin_cpu_supports("avx2")
+                                       ? gemmTileI8Avx2
+                                       : gemmTileI8Generic;
 #else
-    static const GemmSliceI8Fn fn = gemmSliceI8Generic;
+    static const GemmTileI8Fn fn = gemmTileI8Generic;
 #endif
     return fn;
 }
 
 /**
- * out rows [i_lo, i_hi) of a * b^T, blocked over b rows so a block
- * of weights is reused across all activation rows before moving on.
+ * The one thread-split policy of the transposed-B GEMM, for either
+ * dtype: tile(i_lo, i_hi, jb, j_hi) computes one block of the
+ * [m x n] output, and is never called when the output is empty (so
+ * it may offset operand pointers freely). Under a rank body of the
+ * tensor-parallel forward the nested parallelFor degrades to inline,
+ * so sharded callers get per-rank serial tiles while tp=1 calls
+ * thread across the pool.
  */
+template <typename Tile>
 void
-gemmTransposedBRows(const Tensor &a, const Tensor &b, float *out,
-                    size_t out_stride, size_t i_lo, size_t i_hi)
+splitGemm(size_t m, size_t n, const Tile &tile)
 {
-    const size_t k = a.cols(), n = b.rows();
-    const GemmBlockFn block = gemmBlock();
-    for (size_t jb = 0; jb < n; jb += kGemmRowBlock) {
-        const size_t j_hi = std::min(jb + kGemmRowBlock, n);
-        block(a.data(), b.data(), out, out_stride, k, i_lo, i_hi,
-              jb, j_hi);
+    if (m == 0 || n == 0)
+        return;
+    util::ThreadPool &pool = util::ThreadPool::global();
+    if (m >= pool.threads()) {
+        // Enough activation rows to split: one contiguous row range
+        // per worker, weight blocks reused within each range.
+        pool.parallelFor(0, pool.threads(), [&](size_t w) {
+            const size_t i_lo = w * m / pool.threads();
+            const size_t i_hi = (w + 1) * m / pool.threads();
+            for (size_t jb = 0; jb < n; jb += kGemmRowBlock)
+                tile(i_lo, i_hi, jb, std::min(jb + kGemmRowBlock, n));
+        });
+        return;
     }
+    // Thin activations (down to the m=1 matvec): split the weight
+    // rows across workers instead.
+    const size_t n_blocks = (n + kGemmRowBlock - 1) / kGemmRowBlock;
+    pool.parallelFor(0, n_blocks, [&](size_t blk) {
+        const size_t jb = blk * kGemmRowBlock;
+        tile(0, m, jb, std::min(jb + kGemmRowBlock, n));
+    });
 }
 
+/** Shape checks shared by both dtypes' slice entry points. */
 void
-gemmTransposedBRowsI8(const QTensor &a, const QTensor &b, float *out,
-                      size_t out_stride, size_t i_lo, size_t i_hi)
+checkSlice(size_t a_cols, size_t b_cols, size_t b_rows, size_t k0,
+           size_t k1, size_t j0, size_t j1, size_t out_stride)
 {
-    const size_t k = a.cols(), n = b.rows();
-    const GemmBlockI8Fn block = gemmBlockI8();
-    for (size_t jb = 0; jb < n; jb += kGemmRowBlock) {
-        const size_t j_hi = std::min(jb + kGemmRowBlock, n);
-        block(a.data(), a.scales(), b.data(), b.scales(), out,
-              out_stride, k, i_lo, i_hi, jb, j_hi);
-    }
+    SPECINFER_CHECK(a_cols == b_cols, "matmulT shape mismatch: a has "
+                                          << a_cols << " columns, b "
+                                          << b_cols);
+    SPECINFER_CHECK(k0 <= k1 && k1 <= a_cols,
+                    "matmulT k-slice [" << k0 << ", " << k1
+                                        << ") out of range");
+    SPECINFER_CHECK(j0 <= j1 && j1 <= b_rows,
+                    "matmulT j-slice [" << j0 << ", " << j1
+                                        << ") out of range");
+    SPECINFER_CHECK(out_stride >= j1 - j0,
+                    "matmulT output stride " << out_stride
+                                             << " narrower than "
+                                             << (j1 - j0)
+                                             << " columns");
 }
 
 } // namespace
@@ -465,35 +384,8 @@ void
 matmulTransposedBInto(const Tensor &a, const Tensor &b, float *out,
                       size_t out_stride)
 {
-    SPECINFER_CHECK(a.cols() == b.cols(),
-                    "matmulT shape mismatch " << a.shapeString() << " * "
-                                              << b.shapeString() << "^T");
-    SPECINFER_CHECK(out_stride >= b.rows(),
-                    "matmulT output stride " << out_stride
-                                             << " narrower than "
-                                             << b.rows() << " columns");
-    const size_t m = a.rows(), n = b.rows();
-    util::ThreadPool &pool = util::ThreadPool::global();
-    if (m >= pool.threads()) {
-        // Enough activation rows to split: one contiguous row range
-        // per worker, weight blocks reused within each range.
-        pool.parallelFor(0, pool.threads(), [&](size_t w) {
-            const size_t i_lo = w * m / pool.threads();
-            const size_t i_hi = (w + 1) * m / pool.threads();
-            gemmTransposedBRows(a, b, out, out_stride, i_lo, i_hi);
-        });
-        return;
-    }
-    // Thin activations (down to the m=1 matvec): split the weight
-    // rows across workers instead.
-    const size_t n_blocks = (n + kGemmRowBlock - 1) / kGemmRowBlock;
-    const GemmBlockFn block = gemmBlock();
-    pool.parallelFor(0, n_blocks, [&](size_t blk) {
-        const size_t jb = blk * kGemmRowBlock;
-        const size_t j_hi = std::min(jb + kGemmRowBlock, n);
-        block(a.data(), b.data(), out, out_stride, a.cols(), 0, m,
-              jb, j_hi);
-    });
+    matmulTransposedBSlice(a, b, 0, a.cols(), 0, b.rows(), out,
+                           out_stride);
 }
 
 void
@@ -508,32 +400,8 @@ void
 matmulTransposedBInto(const QTensor &a, const QTensor &b, float *out,
                       size_t out_stride)
 {
-    SPECINFER_CHECK(a.cols() == b.cols(),
-                    "int8 matmulT shape mismatch ["
-                        << a.rows() << " x " << a.cols() << "] * ["
-                        << b.rows() << " x " << b.cols() << "]^T");
-    SPECINFER_CHECK(out_stride >= b.rows(),
-                    "int8 matmulT output stride "
-                        << out_stride << " narrower than " << b.rows()
-                        << " columns");
-    const size_t m = a.rows(), n = b.rows();
-    util::ThreadPool &pool = util::ThreadPool::global();
-    if (m >= pool.threads()) {
-        pool.parallelFor(0, pool.threads(), [&](size_t w) {
-            const size_t i_lo = w * m / pool.threads();
-            const size_t i_hi = (w + 1) * m / pool.threads();
-            gemmTransposedBRowsI8(a, b, out, out_stride, i_lo, i_hi);
-        });
-        return;
-    }
-    const size_t n_blocks = (n + kGemmRowBlock - 1) / kGemmRowBlock;
-    const GemmBlockI8Fn block = gemmBlockI8();
-    pool.parallelFor(0, n_blocks, [&](size_t blk) {
-        const size_t jb = blk * kGemmRowBlock;
-        const size_t j_hi = std::min(jb + kGemmRowBlock, n);
-        block(a.data(), a.scales(), b.data(), b.scales(), out,
-              out_stride, a.cols(), 0, m, jb, j_hi);
-    });
+    matmulTransposedBSlice(a, b, 0, a.cols(), 0, b.rows(), out,
+                           out_stride);
 }
 
 void
@@ -549,54 +417,15 @@ matmulTransposedBSlice(const Tensor &a, const Tensor &b, size_t k0,
                        size_t k1, size_t j0, size_t j1, float *out,
                        size_t out_stride)
 {
-    SPECINFER_CHECK(a.cols() == b.cols(),
-                    "matmulT slice shape mismatch "
-                        << a.shapeString() << " * " << b.shapeString()
-                        << "^T");
-    SPECINFER_CHECK(k0 <= k1 && k1 <= a.cols(),
-                    "matmulT k-slice [" << k0 << ", " << k1
-                                        << ") out of range");
-    SPECINFER_CHECK(j0 <= j1 && j1 <= b.rows(),
-                    "matmulT j-slice [" << j0 << ", " << j1
-                                        << ") out of range");
-    SPECINFER_CHECK(out_stride >= j1 - j0,
-                    "matmulT slice output stride "
-                        << out_stride << " narrower than " << (j1 - j0)
-                        << " columns");
-    if (k0 == 0 && k1 == a.cols() && j0 == 0 && j1 == b.rows()) {
-        matmulTransposedBInto(a, b, out, out_stride);
-        return;
-    }
-    const size_t m = a.rows(), nw = j1 - j0, len = k1 - k0;
-    if (m == 0 || nw == 0)
-        return;
-    const float *a_base = a.data() + k0;
-    const float *b_base = b.data() + j0 * b.cols() + k0;
-    const GemmSliceFn tile = gemmSlice();
-    util::ThreadPool &pool = util::ThreadPool::global();
-    // Same split policy as matmulTransposedBInto; under a rank body
-    // the nested parallelFor degrades to inline, so sharded callers
-    // get per-rank serial tiles while tp=1 orchestrator calls still
-    // thread across the pool.
-    if (m >= pool.threads()) {
-        pool.parallelFor(0, pool.threads(), [&](size_t w) {
-            const size_t i_lo = w * m / pool.threads();
-            const size_t i_hi = (w + 1) * m / pool.threads();
-            for (size_t jb = 0; jb < nw; jb += kGemmRowBlock) {
-                const size_t j_hi = std::min(jb + kGemmRowBlock, nw);
-                tile(a_base, a.cols(), b_base, b.cols(), out,
-                     out_stride, len, i_lo, i_hi, jb, j_hi);
-            }
-        });
-        return;
-    }
-    const size_t n_blocks = (nw + kGemmRowBlock - 1) / kGemmRowBlock;
-    pool.parallelFor(0, n_blocks, [&](size_t blk) {
-        const size_t jb = blk * kGemmRowBlock;
-        const size_t j_hi = std::min(jb + kGemmRowBlock, nw);
-        tile(a_base, a.cols(), b_base, b.cols(), out, out_stride, len,
-             0, m, jb, j_hi);
-    });
+    checkSlice(a.cols(), b.cols(), b.rows(), k0, k1, j0, j1,
+               out_stride);
+    const GemmTileFn tile = gemmTile();
+    splitGemm(a.rows(), j1 - j0,
+              [&](size_t i_lo, size_t i_hi, size_t jb, size_t j_hi) {
+                  tile(a.data() + k0, a.cols(),
+                       b.data() + j0 * b.cols() + k0, b.cols(), out,
+                       out_stride, k1 - k0, i_lo, i_hi, jb, j_hi);
+              });
 }
 
 void
@@ -604,52 +433,16 @@ matmulTransposedBSlice(const QTensor &a, const QTensor &b, size_t k0,
                        size_t k1, size_t j0, size_t j1, float *out,
                        size_t out_stride)
 {
-    SPECINFER_CHECK(a.cols() == b.cols(),
-                    "int8 matmulT slice shape mismatch ["
-                        << a.rows() << " x " << a.cols() << "] * ["
-                        << b.rows() << " x " << b.cols() << "]^T");
-    SPECINFER_CHECK(k0 <= k1 && k1 <= a.cols(),
-                    "int8 matmulT k-slice [" << k0 << ", " << k1
-                                             << ") out of range");
-    SPECINFER_CHECK(j0 <= j1 && j1 <= b.rows(),
-                    "int8 matmulT j-slice [" << j0 << ", " << j1
-                                             << ") out of range");
-    SPECINFER_CHECK(out_stride >= j1 - j0,
-                    "int8 matmulT slice output stride "
-                        << out_stride << " narrower than " << (j1 - j0)
-                        << " columns");
-    if (k0 == 0 && k1 == a.cols() && j0 == 0 && j1 == b.rows()) {
-        matmulTransposedBInto(a, b, out, out_stride);
-        return;
-    }
-    const size_t m = a.rows(), nw = j1 - j0, len = k1 - k0;
-    if (m == 0 || nw == 0)
-        return;
-    const int8_t *a_base = a.data() + k0;
-    const int8_t *b_base = b.data() + j0 * b.cols() + k0;
-    const float *b_scales = b.scales() + j0;
-    const GemmSliceI8Fn tile = gemmSliceI8();
-    util::ThreadPool &pool = util::ThreadPool::global();
-    if (m >= pool.threads()) {
-        pool.parallelFor(0, pool.threads(), [&](size_t w) {
-            const size_t i_lo = w * m / pool.threads();
-            const size_t i_hi = (w + 1) * m / pool.threads();
-            for (size_t jb = 0; jb < nw; jb += kGemmRowBlock) {
-                const size_t j_hi = std::min(jb + kGemmRowBlock, nw);
-                tile(a_base, a.cols(), a.scales(), b_base, b.cols(),
-                     b_scales, out, out_stride, len, i_lo, i_hi, jb,
-                     j_hi);
-            }
-        });
-        return;
-    }
-    const size_t n_blocks = (nw + kGemmRowBlock - 1) / kGemmRowBlock;
-    pool.parallelFor(0, n_blocks, [&](size_t blk) {
-        const size_t jb = blk * kGemmRowBlock;
-        const size_t j_hi = std::min(jb + kGemmRowBlock, nw);
-        tile(a_base, a.cols(), a.scales(), b_base, b.cols(), b_scales,
-             out, out_stride, len, 0, m, jb, j_hi);
-    });
+    checkSlice(a.cols(), b.cols(), b.rows(), k0, k1, j0, j1,
+               out_stride);
+    const GemmTileI8Fn tile = gemmTileI8();
+    splitGemm(a.rows(), j1 - j0,
+              [&](size_t i_lo, size_t i_hi, size_t jb, size_t j_hi) {
+                  tile(a.data() + k0, a.cols(), a.scales(),
+                       b.data() + j0 * b.cols() + k0, b.cols(),
+                       b.scales() + j0, out, out_stride, k1 - k0, i_lo,
+                       i_hi, jb, j_hi);
+              });
 }
 
 void

@@ -89,10 +89,8 @@ void matmulTransposedB(const QTensor &a, const QTensor &b, Tensor &out);
  *
  * Bit-exactness contract: each element is one dotRow over the
  * slice, identical bits regardless of blocking, thread count, or
- * ISA; with the full k range it equals the unsliced kernel's
- * element exactly. The full-matrix call (k0 == 0, k1 == k, j0 == 0,
- * j1 == n) delegates to matmulTransposedBInto, so tp=1 callers keep
- * the legacy tiles and threading policy.
+ * ISA. This is the one transposed-B GEMM: matmulTransposedBInto is
+ * exactly this call with k0 == 0, k1 == k, j0 == 0, j1 == n.
  *
  * @pre k0 <= k1 <= a.cols(); j0 <= j1 <= b.rows();
  *      out_stride >= j1 - j0; out does not alias a or b.

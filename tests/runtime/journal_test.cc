@@ -311,6 +311,29 @@ TEST(JournalTest, GarbagePayloadWithValidCrcIsRejected)
     EXPECT_EQ(reader.bytesConsumed(), 0u);
 }
 
+TEST(JournalTest, SubmitWithOutOfRangePriorityIsTornTail)
+{
+    // The priority byte indexes per-class arrays on replay, so a
+    // CRC-valid Submit naming a class past the last one is damage,
+    // not a request.
+    std::stringstream buf;
+    JournalWriter writer(buf);
+    writer.append(sampleSubmit());
+    const uint64_t first_end = writer.bytesWritten();
+    JournalRecord bad = sampleSubmit();
+    bad.id = 8;
+    bad.priority = 3;
+    writer.append(bad);
+    EXPECT_FALSE(writer.closed());
+    JournalReader reader(buf);
+    JournalRecord got;
+    ASSERT_TRUE(reader.next(got));
+    EXPECT_EQ(got.id, 7u);
+    EXPECT_FALSE(reader.next(got));
+    EXPECT_TRUE(reader.tornTail());
+    EXPECT_EQ(reader.bytesConsumed(), first_end);
+}
+
 TEST(JournalTest, ReaderStartsAtStreamPosition)
 {
     // recover() seeks past the snapshot's journal offset and reads

@@ -332,6 +332,36 @@ TEST(RecoveryDeathTest, TpDegreeMismatchRefusesRecovery)
                  "tensor-parallel degree");
 }
 
+TEST(RecoveryDeathTest, OutOfRangeSnapshotPriorityRefusesRecovery)
+{
+    // The priority byte indexes per-class arrays, so a snapshot naming
+    // a class past the last one is corrupt, like any other
+    // implausible field. The byte follows a pending request's
+    // deadlineNanos, whose value is unique in the stream.
+    EngineFixture f;
+    ServingConfig cfg;
+    cfg.maxBatchSize = 1;
+    RequestManager live(f.engine.get(), cfg);
+    const uint64_t marker = 0x0123456789abcdefULL;
+    ASSERT_TRUE(
+        live.submit({4, 8, 15}, 8, 0, Priority::Batch, marker)
+            .accepted());
+    std::stringstream snapshot;
+    live.writeSnapshot(snapshot);
+    std::string bytes = snapshot.str();
+    const size_t at = bytes.find(std::string(
+        reinterpret_cast<const char *>(&marker), sizeof(marker)));
+    ASSERT_NE(at, std::string::npos);
+    ASSERT_EQ(bytes[at + sizeof(marker)],
+              static_cast<char>(Priority::Batch));
+    bytes[at + sizeof(marker)] = 3;
+
+    RequestManager recovered(f.engine.get(), cfg);
+    std::stringstream damaged(bytes), journal_in;
+    EXPECT_DEATH(recovered.recover(&damaged, &journal_in),
+                 "snapshot priority class 3 out of range");
+}
+
 // ----------------------------------------------------------------
 // The randomized recovery-equivalence oracle.
 

@@ -4,8 +4,9 @@
  * blocked results must match a naive reference on odd shapes (m = 1,
  * k not a multiple of the unroll or block width), the strided
  * matmulTransposedBInto must leave the gap columns untouched, and
- * every kernel must be bit-identical across pool sizes — the
- * determinism contract the differential oracle depends on.
+ * every kernel — full matrix and (k0, k1, j0, j1) slices — must be
+ * bit-identical across pool sizes: the determinism contract the
+ * differential oracle depends on.
  */
 
 #include <cstring>
@@ -13,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "gemm_slice_check.h"
 #include "tensor/ops.h"
 #include "util/rng.h"
 #include "util/threadpool.h"
@@ -139,6 +141,35 @@ TEST(GemmPropertyTest, KernelsBitIdenticalAcrossThreadCounts)
             << "matmul differs at threads=" << threads;
     }
     pool.setThreads(restore);
+
+    // Random (k0, k1, j0, j1) slices over random shapes — thin m
+    // takes the weight-block split, wide m the row split — each
+    // element bit-equal to dotRow over the slice at 1, 2 and 4
+    // threads.
+    Rng rng(4242);
+    specinfer::testing::SliceCoverage coverage;
+    for (int trial = 0; trial < 40; ++trial) {
+        const size_t sm = 1 + rng.uniformInt(uint64_t{24});
+        const size_t sk = 1 + rng.uniformInt(uint64_t{96});
+        const size_t sn = 1 + rng.uniformInt(uint64_t{80});
+        Tensor sa = randomTensor(sm, sk, rng.next());
+        Tensor sb = randomTensor(sn, sk, rng.next());
+        const specinfer::testing::GemmSlice sl =
+            specinfer::testing::drawSlice(rng, sk, sn, trial);
+        coverage.add(sl);
+        specinfer::testing::checkSliceAcrossThreads(
+            sm, sl,
+            [&](float *buf, size_t stride) {
+                specinfer::tensor::matmulTransposedBSlice(
+                    sa, sb, sl.k0, sl.k1, sl.j0, sl.j1, buf, stride);
+            },
+            [&](size_t i, size_t j) {
+                return specinfer::tensor::dotRow(sa.row(i) + sl.k0,
+                                                 sb.row(j) + sl.k0,
+                                                 sl.k1 - sl.k0);
+            });
+    }
+    coverage.expectAllHit();
 }
 
 TEST(GemmPropertyTest, MatvecMatchesGemmRow)

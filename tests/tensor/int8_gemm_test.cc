@@ -7,7 +7,7 @@
  * check — the kernel dispatches the maddubs tile while the expected
  * value runs the plain loop), the strided variant must leave gap
  * columns untouched, and results must be bit-identical across
- * thread counts {1, 2, 8}.
+ * thread counts {1, 2, 8} — full matrix and (k0, k1, j0, j1) slices.
  */
 
 #include <cstring>
@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "gemm_slice_check.h"
 #include "tensor/ops.h"
 #include "tensor/qtensor.h"
 #include "tensor/quant.h"
@@ -185,8 +186,13 @@ TEST(Int8GemmTest, BitIdenticalAcrossThreadCounts)
 
 TEST(Int8GemmTest, RandomShapeSweepMatchesReference)
 {
-    // Seeded random-shape fuzz over the blocking/threshold space.
+    // Seeded random-shape fuzz over the blocking/threshold space:
+    // the full matrix, then a random (k0, k1, j0, j1) slice of the
+    // same operands at 1, 2 and 4 threads (slices drawn from their
+    // own stream, so the full-matrix shapes stay fixed).
     Rng rng(20240808);
+    Rng slice_rng(20240809);
+    specinfer::testing::SliceCoverage coverage;
     for (int trial = 0; trial < 40; ++trial) {
         const size_t m = 1 + rng.uniformInt(uint64_t{24});
         const size_t k = 1 + rng.uniformInt(uint64_t{96});
@@ -208,7 +214,24 @@ TEST(Int8GemmTest, RandomShapeSweepMatchesReference)
                     << "trial " << trial << " m=" << m << " k=" << k
                     << " n=" << n;
             }
+
+        const specinfer::testing::GemmSlice sl =
+            specinfer::testing::drawSlice(slice_rng, k, n, trial);
+        coverage.add(sl);
+        specinfer::testing::checkSliceAcrossThreads(
+            m, sl,
+            [&](float *buf, size_t stride) {
+                specinfer::tensor::matmulTransposedBSlice(
+                    qa, qb, sl.k0, sl.k1, sl.j0, sl.j1, buf, stride);
+            },
+            [&](size_t i, size_t j) {
+                return static_cast<float>(specinfer::tensor::dotRowI8(
+                           qa.row(i) + sl.k0, qb.row(j) + sl.k0,
+                           sl.k1 - sl.k0)) *
+                       (qa.scale(i) * qb.scale(j));
+            });
     }
+    coverage.expectAllHit();
 }
 
 } // namespace
