@@ -82,6 +82,11 @@ SPECINFER_BENCH_TOKENS=8 \
 # supervisor_* metric catalog.
 ./scripts/supervisor_smoke.sh
 
+# Serving benchmark smoke: every BENCHMARK.json workload tiny in
+# both modes plus the oracle's negative control (builds its own
+# Release tree in .bench_build/).
+python3 servebench/run.py --smoke
+
 # Fault-injection soak under ASan/UBSan: thousands of scheduling
 # iterations with random speculator/verifier/allocator/straggler
 # faults; checks liveness, request conservation, the spec-vs-
@@ -104,11 +109,12 @@ cmake --build --preset asan --target test_util test_runtime \
 ./build-asan/tests/test_ipc_soak --gtest_filter='*WatchdogHangWedge*'
 
 # Int8 kernel + model suites under ASan/UBSan: quantization, the
-# integer GEMM tiles (scalar and AVX2 dispatch), and the int8 SSM
-# forward/serialization paths.
+# integer GEMM tiles (scalar and AVX2 dispatch), the int8 SSM
+# forward/serialization paths, and the serialized-stream readers'
+# rejection of garbage, truncation and implausible lengths.
 cmake --build --preset asan --target test_tensor test_model
 ./build-asan/tests/test_tensor --gtest_filter='Int8*'
-./build-asan/tests/test_model --gtest_filter='*Int8*'
+./build-asan/tests/test_model --gtest_filter='*Int8*:Serialization*'
 
 # Tensor-parallel suites under ASan/UBSan: the collective library's
 # determinism/accounting properties and the sharded-forward

@@ -646,9 +646,7 @@ Daemon::snapshot()
 {
     if (!journal_)
         return;
-    std::ofstream snap(cfg_.journalPath + ".snap",
-                       std::ios::binary | std::ios::trunc);
-    manager_->writeSnapshot(snap);
+    manager_->saveSnapshot(cfg_.journalPath + ".snap");
     journalOut_.flush();
     journal_->sync(); // no-op unless journalFsync armed a fd
     lastSnapshotIteration_ = manager_->stats().iterations;

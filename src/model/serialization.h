@@ -22,6 +22,7 @@
 #ifndef SPECINFER_MODEL_SERIALIZATION_H
 #define SPECINFER_MODEL_SERIALIZATION_H
 
+#include <algorithm>
 #include <cstdint>
 #include <iosfwd>
 #include <istream>
@@ -82,10 +83,21 @@ readPodVector(std::istream &in)
     uint64_t len = readPod<uint64_t>(in);
     SPECINFER_CHECK(len < (1ull << 32),
                     "implausible serialized vector length");
-    std::vector<T> v(len);
-    in.read(reinterpret_cast<char *>(v.data()),
-            static_cast<std::streamsize>(len * sizeof(T)));
-    SPECINFER_CHECK(in.good(), "truncated serialized stream");
+    // Grow as the bytes arrive, 1 MiB at a time: a corrupt length on
+    // a short stream fails as truncated after one chunk instead of
+    // allocating the claimed size up front.
+    constexpr uint64_t kChunk =
+        ((uint64_t{1} << 20) + sizeof(T) - 1) / sizeof(T);
+    std::vector<T> v;
+    while (v.size() < len) {
+        const size_t at = v.size();
+        const size_t n =
+            static_cast<size_t>(std::min<uint64_t>(len - at, kChunk));
+        v.resize(at + n);
+        in.read(reinterpret_cast<char *>(v.data() + at),
+                static_cast<std::streamsize>(n * sizeof(T)));
+        SPECINFER_CHECK(in.good(), "truncated serialized stream");
+    }
     return v;
 }
 

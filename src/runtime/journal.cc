@@ -5,6 +5,7 @@
 #include <ostream>
 
 #if defined(__unix__) || defined(__APPLE__)
+#include <fcntl.h>
 #include <unistd.h>
 #endif
 
@@ -97,7 +98,10 @@ class ByteReader
             return {};
         }
         std::vector<T> v(len);
-        std::memcpy(v.data(), buf_.data() + pos_, len * sizeof(T));
+        // An empty vector's data() may be null, which memcpy forbids
+        // even for zero bytes.
+        if (len > 0)
+            std::memcpy(v.data(), buf_.data() + pos_, len * sizeof(T));
         pos_ += len * sizeof(T);
         return v;
     }
@@ -177,12 +181,8 @@ serializePayload(const JournalRecord &rec)
         w.pod<uint64_t>(rec.iteration);
         w.pod<uint8_t>(rec.iterDegraded);
         w.pod<uint8_t>(rec.iterSlow);
-        w.pod<uint8_t>(rec.degrSpeculationDisabled);
-        w.pod<uint64_t>(rec.degrConsecutiveFaults);
-        w.pod<uint64_t>(rec.degrCleanIterations);
-        w.pod<uint64_t>(rec.degrCurrentBackoff);
-        w.pod<uint64_t>(rec.degrReenableIteration);
-        w.pod<uint64_t>(rec.degrDisableEpisodes);
+        writeDegradation(rec.degradation,
+                         [&w](auto v) { w.pod(v); });
         break;
       case RecordType::Begin:
         w.pod<uint64_t>(rec.iteration);
@@ -251,12 +251,8 @@ parsePayload(const std::string &payload, JournalRecord &rec)
         rec.iteration = r.pod<uint64_t>();
         rec.iterDegraded = r.pod<uint8_t>();
         rec.iterSlow = r.pod<uint8_t>();
-        rec.degrSpeculationDisabled = r.pod<uint8_t>();
-        rec.degrConsecutiveFaults = r.pod<uint64_t>();
-        rec.degrCleanIterations = r.pod<uint64_t>();
-        rec.degrCurrentBackoff = r.pod<uint64_t>();
-        rec.degrReenableIteration = r.pod<uint64_t>();
-        rec.degrDisableEpisodes = r.pod<uint64_t>();
+        rec.degradation = readDegradation(
+            [&r](auto t) { return r.pod<decltype(t)>(); });
         break;
       case RecordType::Begin:
         rec.iteration = r.pod<uint64_t>();
@@ -312,18 +308,42 @@ JournalWriter::JournalWriter(std::ostream &out) : out_(&out)
 {
 }
 
+namespace {
+
+void
+datasync(int fd)
+{
+#if defined(__linux__)
+    ::fdatasync(fd);
+#elif defined(__unix__) || defined(__APPLE__)
+    ::fsync(fd);
+#else
+    (void)fd;
+#endif
+}
+
+} // namespace
+
+void
+syncFile(const std::string &path)
+{
+#if defined(__unix__) || defined(__APPLE__)
+    const int fd = ::open(path.c_str(), O_WRONLY);
+    if (fd < 0)
+        return;
+    datasync(fd);
+    ::close(fd);
+#else
+    (void)path;
+#endif
+}
+
 void
 JournalWriter::sync() const
 {
     if (syncFd_ < 0)
         return;
-#if defined(__linux__)
-    ::fdatasync(syncFd_);
-#elif defined(__unix__) || defined(__APPLE__)
-    ::fsync(syncFd_);
-#else
-    return;
-#endif
+    datasync(syncFd_);
     if (obs::ObsContext *o = obs::globalObs())
         o->metrics().counter("journal_fsyncs")->inc();
 }

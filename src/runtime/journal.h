@@ -9,8 +9,8 @@
  * point loses at most the record being written. Recovery loads the
  * most recent snapshot and replays the journal tail on top of it
  * (RequestManager::recover), reconstructing the exact pre-crash
- * scheduling state; the KV caches rebuild lazily through the
- * engine's catch-up path, which is output-invariant.
+ * scheduling state through the same transition functions the live
+ * scheduler runs.
  *
  * On-disk format: a bare stream of records, each framed as
  *
@@ -26,8 +26,9 @@
  * Records deliberately carry *events*, not state: a Step record
  * holds the tokens the verifier committed and the RNG cursor after
  * the step, never model activations or KV rows. This keeps the
- * journal tiny (the snapshot holds the bulky state) and makes
- * replay a pure bookkeeping pass — no model execution.
+ * journal tiny (the snapshot holds the bulky state); replay runs
+ * no speculation, only the KV redo of the rows each step left
+ * resident.
  */
 
 #ifndef SPECINFER_RUNTIME_JOURNAL_H
@@ -35,6 +36,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -47,6 +49,60 @@ namespace runtime {
 
 /** CRC-32 (IEEE 802.3 polynomial) over a byte range. */
 uint32_t crc32(const void *data, size_t size);
+
+/**
+ * Speculation-health state for the degradation ladder: repeated
+ * consecutive SSM faults disable speculation for a backoff window
+ * (doubling on each repeat); every iteration then decodes
+ * incrementally — slower, never wrong. A fault-free stretch of the
+ * same length resets the backoff to its initial value.
+ */
+struct DegradationState
+{
+    /** Speculation currently disabled (engine steps run with
+     *  allow_speculation = false). */
+    bool speculationDisabled = false;
+    /** Consecutive speculation-enabled iterations with a fault. */
+    size_t consecutiveFaults = 0;
+    /** Consecutive speculation-enabled iterations without one. */
+    size_t cleanIterations = 0;
+    /** Current disable window; doubles each repeated degradation. */
+    size_t currentBackoff = 0;
+    /** Iteration at which speculation re-enables. */
+    size_t reenableIteration = 0;
+    /** Times the ladder has disabled speculation. */
+    size_t disableEpisodes = 0;
+};
+
+/**
+ * DegradationState's one wire form, shared by snapshots and
+ * Iteration records: the disabled flag as a byte, then the five
+ * counters as u64. `put(v)` writes one POD; `get(T{})` reads one of
+ * type T, so each stream keeps its own error policy.
+ */
+template <typename Put>
+void
+writeDegradation(const DegradationState &d, Put &&put)
+{
+    put(uint8_t{d.speculationDisabled});
+    for (size_t v : {d.consecutiveFaults, d.cleanIterations,
+                     d.currentBackoff, d.reenableIteration,
+                     d.disableEpisodes})
+        put(uint64_t{v});
+}
+
+template <typename Get>
+DegradationState
+readDegradation(Get &&get)
+{
+    DegradationState d;
+    d.speculationDisabled = get(uint8_t{}) != 0;
+    for (size_t *v : {&d.consecutiveFaults, &d.cleanIterations,
+                      &d.currentBackoff, &d.reenableIteration,
+                      &d.disableEpisodes})
+        *v = get(uint64_t{});
+    return d;
+}
 
 /** Journal record kinds, in the order the manager emits them. */
 enum class RecordType : uint8_t
@@ -146,14 +202,8 @@ struct JournalRecord
     uint8_t iterDegraded = 0;
     /** An injected straggler advanced the clock this iteration. */
     uint8_t iterSlow = 0;
-    /** runtime::DegradationState, flattened (journal.h must not
-     *  depend on request_manager.h). */
-    uint8_t degrSpeculationDisabled = 0;
-    uint64_t degrConsecutiveFaults = 0;
-    uint64_t degrCleanIterations = 0;
-    uint64_t degrCurrentBackoff = 0;
-    uint64_t degrReenableIteration = 0;
-    uint64_t degrDisableEpisodes = 0;
+    /** Degradation ladder after the iteration (Iteration). */
+    DegradationState degradation;
 };
 
 /**
@@ -204,6 +254,10 @@ class JournalWriter
     bool closed_ = false;
     int syncFd_ = -1;
 };
+
+/** fdatasync the file at `path`, as JournalWriter::sync does the
+ *  journal (best effort: an unopenable path is skipped). */
+void syncFile(const std::string &path);
 
 /**
  * Truncation-tolerant journal reader: yields records until clean

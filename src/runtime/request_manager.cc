@@ -1,7 +1,9 @@
 #include "runtime/request_manager.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -120,6 +122,37 @@ writeResult(std::ostream &out, const RequestResult &res)
     writePod<uint64_t>(out, res.finishIteration);
     writePod<uint64_t>(out, res.preemptions);
     writePod<uint8_t>(out, static_cast<uint8_t>(res.priority));
+}
+
+/**
+ * Every ServingStats counter with its serving_* gauge name, in
+ * snapshot order: the one list that writeSnapshot, recover and
+ * publishMetrics walk.
+ */
+template <typename Stats, typename Fn>
+void
+forEachStat(Stats &s, Fn &&fn)
+{
+    fn("serving_iterations", s.iterations);
+    fn("serving_requests_submitted", s.requestsSubmitted);
+    fn("serving_requests_finished", s.requestsFinished);
+    fn("serving_tokens_generated", s.tokensGenerated);
+    fn("serving_request_iterations", s.requestIterations);
+    fn("serving_preemptions", s.preemptions);
+    fn("serving_rejected_queue_full", s.rejectedQueueFull);
+    fn("serving_rejected_never_fits", s.rejectedNeverFits);
+    fn("serving_shed_requests", s.shedRequests);
+    fn("serving_deadline_expiries", s.deadlineExpiries);
+    fn("serving_cancellations", s.cancellations);
+    fn("serving_fallback_steps", s.fallbackSteps);
+    fn("serving_degraded_iterations", s.degradedIterations);
+    fn("serving_preemption_retries", s.preemptionRetries);
+    fn("serving_preemption_aborts", s.preemptionAborts);
+    fn("serving_slow_iterations", s.slowIterations);
+    fn("serving_rejected_overloaded", s.rejectedOverloaded);
+    fn("serving_shed_by_class_interactive", s.shedByClass[0]);
+    fn("serving_shed_by_class_standard", s.shedByClass[1]);
+    fn("serving_shed_by_class_batch", s.shedByClass[2]);
 }
 
 RequestResult
@@ -247,18 +280,6 @@ RequestManager::shedVictimIndex() const
     return victim;
 }
 
-void
-RequestManager::shedPending(size_t index)
-{
-    Request shed = std::move(pending_[index]);
-    pending_.erase(pending_.begin() +
-                   static_cast<ptrdiff_t>(index));
-    ++stats_.shedRequests;
-    ++stats_.shedByClass[static_cast<size_t>(shed.priority)];
-    finishAborted(std::move(shed), nullptr, stats_.iterations,
-                  core::SpecSession::StopReason::Shed);
-}
-
 SubmitResult
 RequestManager::submit(std::vector<int> prompt,
                        size_t max_new_tokens,
@@ -316,7 +337,7 @@ RequestManager::submit(std::vector<int> prompt,
             ++stats_.rejectedQueueFull;
             return out;
         }
-        shedPending(victim);
+        finishPending(victim, core::SpecSession::StopReason::Shed);
     }
     if (never_fits) {
         out.reject = RejectReason::NeverFits;
@@ -333,8 +354,7 @@ RequestManager::submit(std::vector<int> prompt,
         cfg_.defaultWallDeadlineNanos > 0 && obs_ != nullptr)
         req.deadlineNanos =
             obs_->nowNanos() + cfg_.defaultWallDeadlineNanos;
-    consumeBucketToken(priority);
-    req.id = nextId_++;
+    req.id = nextId_;
     out.id = req.id;
     if (obs_ != nullptr && obs_->tracer().enabled()) {
         req.submitNanos = obs_->nowNanos();
@@ -343,7 +363,20 @@ RequestManager::submit(std::vector<int> prompt,
             {{"prompt_tokens",
               static_cast<int64_t>(req.prompt.size())}});
     }
-    if (journal_) {
+    accept(std::move(req));
+    return out;
+}
+
+void
+RequestManager::accept(Request &&req)
+{
+    // Journaled Submits are exactly the accepted ones, so replay
+    // re-consumes the same ingress token the live submit did (the
+    // iteration clock is replay-aligned, so the lazy refill lands
+    // on the same level too).
+    consumeBucketToken(req.priority);
+    nextId_ = std::max(nextId_, req.id + 1);
+    if (journal_ && !replaying_) {
         JournalRecord rec;
         rec.type = RecordType::Submit;
         rec.id = req.id;
@@ -357,7 +390,6 @@ RequestManager::submit(std::vector<int> prompt,
     }
     pending_.push_back(std::move(req));
     ++stats_.requestsSubmitted;
-    return out;
 }
 
 bool
@@ -399,32 +431,67 @@ RequestManager::admissionTokens(const Request &req) const
                : req.prompt.size() + engine_->treeBudget() + 2;
 }
 
-uint64_t
-RequestManager::admitKv(const Request &req,
-                        core::SpecSession *session)
+Request
+RequestManager::takePending(size_t index)
 {
+    Request req = std::move(pending_[index]);
+    pending_.erase(pending_.begin() + static_cast<ptrdiff_t>(index));
+    return req;
+}
+
+RequestManager::ActiveRequest &
+RequestManager::admit(Request &&req)
+{
+    if (!replaying_ && obs_ != nullptr && obs_->tracer().enabled() &&
+        req.submitNanos != 0)
+        // Queue wait ends at admission; re-admissions after a
+        // preemption produce a second queue span.
+        obs_->tracer().span(
+            req.id, "serving", "queue", req.submitNanos,
+            obs_->nowNanos(),
+            {{"preemptions",
+              static_cast<int64_t>(req.preemptionCount)}});
+    if (req.preemptionCount > 0)
+        ++stats_.preemptionRetries;
+    core::SpecSession session =
+        engine_->makeSession(req.prompt, req.id, req.maxNewTokens);
     PrefixMatch match;
-    SPECINFER_CHECK(kvPool_->admit(req.id, req.prompt,
-                                   admissionTokens(req),
-                                   cfg_.kvPrefixSharing, &match),
-                    "KV admission failed after canAdmit for "
-                        << req.id);
-    if (!prefixStore_)
-        return 0;
-    // Declare every own block so whichever session first has the
-    // rows resident captures the payload (declare is idempotent).
-    for (uint64_t hash : match.ownHashes)
-        prefixStore_->declare(hash);
-    session->enablePrefixSharing(prefixStore_.get());
-    const size_t adopted = session->adoptPrefix(
-        match.hashes, match.partialHash, match.partialTokens);
-    if (adopted > 0 && obs_ != nullptr && obs_->tracer().enabled())
-        obs_->tracer().instant(
-            req.id, "serving", "prefix_adopt", obs_->nowNanos(),
-            {{"tokens", static_cast<int64_t>(adopted)},
-             {"blocks",
-              static_cast<int64_t>(match.hashes.size())}});
-    return match.partialHash;
+    if (kvPool_)
+        SPECINFER_CHECK(kvPool_->admit(req.id, req.prompt,
+                                       admissionTokens(req),
+                                       cfg_.kvPrefixSharing, &match),
+                        "KV admission failed after canAdmit for "
+                            << req.id);
+    if (prefixStore_) {
+        // Declare every own block so whichever session first has the
+        // rows resident captures the payload (declare is idempotent).
+        for (uint64_t hash : match.ownHashes)
+            prefixStore_->declare(hash);
+        session.enablePrefixSharing(prefixStore_.get());
+        const size_t adopted = session.adoptPrefix(
+            match.hashes, match.partialHash, match.partialTokens);
+        if (adopted > 0 && obs_ != nullptr &&
+            obs_->tracer().enabled())
+            obs_->tracer().instant(
+                req.id, "serving", "prefix_adopt", obs_->nowNanos(),
+                {{"tokens", static_cast<int64_t>(adopted)},
+                 {"blocks",
+                  static_cast<int64_t>(match.hashes.size())}});
+    }
+    // The partial-match block stays shared until the first write
+    // past its divergence point (settleCow).
+    active_.push_back({std::move(req), std::move(session),
+                       stats_.iterations,
+                       prefixStore_ ? match.partialHash : 0});
+    ActiveRequest &ar = active_.back();
+    if (journal_ && !replaying_) {
+        JournalRecord rec;
+        rec.type = RecordType::Admit;
+        rec.id = ar.request.id;
+        rec.adoptedTokens = ar.session.cachedTokens();
+        journal_->append(rec);
+    }
+    return ar;
 }
 
 void
@@ -521,11 +588,39 @@ RequestManager::tryReserve(uint64_t id, size_t tokens)
 }
 
 void
-RequestManager::finishAborted(Request &&req,
-                              const core::SpecSession *session,
-                              size_t start_iteration,
-                              core::SpecSession::StopReason reason)
+RequestManager::releaseKv(uint64_t id)
 {
+    if (kvPool_ && kvPool_->requestBlocks(id) > 0)
+        kvPool_->release(id);
+}
+
+void
+RequestManager::finish(Request &&req, const core::SpecSession *session,
+                       size_t start_iteration, size_t finish_iteration,
+                       core::SpecSession::StopReason reason)
+{
+    using StopReason = core::SpecSession::StopReason;
+    switch (reason) {
+      case StopReason::Cancelled:
+        ++stats_.cancellations;
+        break;
+      case StopReason::Deadline:
+        ++stats_.deadlineExpiries;
+        break;
+      case StopReason::Shed:
+        ++stats_.shedRequests;
+        ++stats_.shedByClass[static_cast<size_t>(req.priority)];
+        break;
+      case StopReason::Preempted:
+        // The budget-exhausting preemption has no Preempt record of
+        // its own: this Finish is where it is counted.
+        ++stats_.preemptions;
+        ++stats_.preemptionAborts;
+        break;
+      default:
+        break;
+    }
+    releaseKv(req.id);
     RequestResult res;
     res.id = req.id;
     if (session != nullptr) {
@@ -536,21 +631,49 @@ RequestManager::finishAborted(Request &&req,
     }
     res.stopReason = reason;
     res.arrivalIteration = req.arrivalIteration;
-    res.startIteration =
-        session != nullptr ? start_iteration : stats_.iterations;
-    res.finishIteration = stats_.iterations;
+    res.startIteration = start_iteration;
+    res.finishIteration = finish_iteration;
     res.preemptions = req.preemptionCount;
     res.priority = req.priority;
     stats_.tokensGenerated += res.tokens.size();
     ++stats_.requestsFinished;
-    if (obs_ != nullptr && obs_->tracer().enabled())
-        obs_->tracer().instant(
-            res.id, "serving", "finish", obs_->nowNanos(),
-            {{"stop", static_cast<int64_t>(res.stopReason)},
-             {"tokens", static_cast<int64_t>(res.tokens.size())}});
-    if (journal_)
-        journalFinish(res);
+    if (!replaying_) {
+        if (obs_ != nullptr && obs_->tracer().enabled())
+            obs_->tracer().instant(
+                res.id, "serving", "finish", obs_->nowNanos(),
+                {{"stop", static_cast<int64_t>(res.stopReason)},
+                 {"tokens", static_cast<int64_t>(res.tokens.size())}});
+        if (journal_) {
+            JournalRecord rec;
+            rec.type = RecordType::Finish;
+            rec.id = res.id;
+            rec.stopReason = static_cast<uint8_t>(res.stopReason);
+            rec.arrivalIteration = res.arrivalIteration;
+            rec.startIteration = res.startIteration;
+            rec.finishIteration = res.finishIteration;
+            rec.preemptions = res.preemptions;
+            journal_->append(rec);
+        }
+    }
     finished_.push_back(std::move(res));
+}
+
+void
+RequestManager::finishPending(size_t index,
+                              core::SpecSession::StopReason reason)
+{
+    finish(takePending(index), nullptr, stats_.iterations,
+           stats_.iterations, reason);
+}
+
+void
+RequestManager::finishActive(size_t index,
+                             core::SpecSession::StopReason reason)
+{
+    ActiveRequest &ar = active_[index];
+    finish(std::move(ar.request), &ar.session, ar.startIteration,
+           stats_.iterations, reason);
+    active_.erase(active_.begin() + static_cast<ptrdiff_t>(index));
 }
 
 void
@@ -562,11 +685,13 @@ RequestManager::requeuePreempted(Request &&req,
         req.preemptionCount > cfg_.maxPreemptions) {
         // Retry budget exhausted: fail cleanly instead of cycling
         // through the pool forever.
-        ++stats_.preemptionAborts;
-        finishAborted(std::move(req), session, stats_.iterations,
-                      core::SpecSession::StopReason::Preempted);
+        finish(std::move(req), session, stats_.iterations,
+               stats_.iterations,
+               core::SpecSession::StopReason::Preempted);
         return;
     }
+    releaseKv(req.id);
+    ++stats_.preemptions;
     // Jittered exponential backoff on re-admission: a request that
     // keeps losing its memory waits out the contention instead of
     // immediately re-stealing what it just lost, and the seeded
@@ -596,7 +721,8 @@ RequestManager::requeuePreempted(Request &&req,
         pending_.size() > cfg_.maxPendingRequests) {
         // The requeue overflowed the bounded queue; shed the
         // lowest-class latest-arrival request to restore the bound.
-        shedPending(shedVictimIndex());
+        finishPending(shedVictimIndex(),
+                      core::SpecSession::StopReason::Shed);
     }
 }
 
@@ -627,10 +753,8 @@ RequestManager::preemptLowestClass(uint64_t requester_id,
     }
     if (victim == active_.size())
         return kNoVictim;
-    // Release memory and requeue for a fresh (recomputed) start;
-    // seeding by request id keeps the eventual output identical.
-    kvPool_->release(active_[victim].request.id);
-    ++stats_.preemptions;
+    // Requeue for a fresh (recomputed) start; seeding by request id
+    // keeps the eventual output identical.
     requeuePreempted(std::move(active_[victim].request),
                      &active_[victim].session);
     active_.erase(active_.begin() + static_cast<ptrdiff_t>(victim));
@@ -655,52 +779,50 @@ void
 RequestManager::expirePendingDeadlines()
 {
     for (size_t j = 0; j < pending_.size();) {
-        Request &req = pending_[j];
-        if (deadlineExpired(req)) {
-            ++stats_.deadlineExpiries;
-            Request dead = std::move(req);
-            pending_.erase(pending_.begin() +
-                           static_cast<ptrdiff_t>(j));
-            finishAborted(std::move(dead), nullptr, stats_.iterations,
-                          core::SpecSession::StopReason::Deadline);
-        } else {
+        if (deadlineExpired(pending_[j]))
+            finishPending(j, core::SpecSession::StopReason::Deadline);
+        else
             ++j;
-        }
     }
 }
 
 bool
 RequestManager::cancel(uint64_t id)
 {
-    for (auto it = pending_.begin(); it != pending_.end(); ++it) {
-        if (it->id != id)
+    for (size_t j = 0; j < pending_.size(); ++j) {
+        if (pending_[j].id != id)
             continue;
-        Request req = std::move(*it);
-        pending_.erase(it);
-        ++stats_.cancellations;
-        finishAborted(std::move(req), nullptr, stats_.iterations,
-                      core::SpecSession::StopReason::Cancelled);
+        finishPending(j, core::SpecSession::StopReason::Cancelled);
         return true;
     }
     for (size_t i = 0; i < active_.size(); ++i) {
         if (active_[i].request.id != id)
             continue;
-        if (kvPool_)
-            kvPool_->release(id);
-        ++stats_.cancellations;
-        finishAborted(std::move(active_[i].request),
-                      &active_[i].session, active_[i].startIteration,
-                      core::SpecSession::StopReason::Cancelled);
-        active_.erase(active_.begin() + static_cast<ptrdiff_t>(i));
+        finishActive(i, core::SpecSession::StopReason::Cancelled);
         return true;
     }
     return false;
 }
 
 void
-RequestManager::updateDegradation(bool speculation_ran,
-                                  bool fault_seen)
+RequestManager::noteStep(const core::StepRecord &step)
 {
+    ++stats_.requestIterations;
+    if (step.prefill || degr_.speculationDisabled)
+        return;
+    iterSpecRan_ = true;
+    if (step.fallback) {
+        iterFaultSeen_ = true;
+        ++stats_.fallbackSteps;
+    }
+}
+
+void
+RequestManager::updateDegradation()
+{
+    const bool speculation_ran = iterSpecRan_;
+    const bool fault_seen = iterFaultSeen_;
+    iterSpecRan_ = iterFaultSeen_ = false;
     if (cfg_.degradeAfterConsecutiveFaults == 0 || !speculation_ran)
         return;
     if (fault_seen) {
@@ -835,7 +957,7 @@ RequestManager::runIteration()
             }
             if (j == pending_.size())
                 break;
-            Request &cand = pending_[j];
+            const Request &cand = pending_[j];
             if (kvPool_) {
                 // A full pool at the admission probe is routine
                 // backpressure, not an allocation failure: gate on
@@ -853,35 +975,15 @@ RequestManager::runIteration()
                         kvFaultKey(cand.id, stats_.iterations)))
                     break;
             }
-            Request req = std::move(cand);
-            pending_.erase(pending_.begin() +
-                           static_cast<ptrdiff_t>(j));
-            if (req.preemptionCount > 0)
-                ++stats_.preemptionRetries;
-            if (obs_ != nullptr && obs_->tracer().enabled() &&
-                req.submitNanos != 0)
-                // Queue wait ends at admission; re-admissions after
-                // a preemption produce a second queue span.
-                obs_->tracer().span(
-                    req.id, "serving", "queue", req.submitNanos,
-                    obs_->nowNanos(),
-                    {{"preemptions", static_cast<int64_t>(
-                                         req.preemptionCount)}});
-            core::SpecSession session = engine_->makeSession(
-                req.prompt, req.id, req.maxNewTokens);
-            uint64_t cow_pending = 0;
-            if (kvPool_)
-                cow_pending = admitKv(req, &session);
-            active_.push_back({std::move(req), std::move(session),
-                               stats_.iterations, cow_pending});
-            if (journal_)
-                journalAdmit(active_.back().request.id,
-                             active_.back().session.cachedTokens());
+            admit(takePending(j));
         }
     }
     if (active_.empty()) {
         // Nothing runnable; still counts as a scheduling tick so
-        // arrival bookkeeping stays monotone.
+        // arrival bookkeeping stays monotone. Nothing stepped, so the
+        // ladder gets no evidence: a resumed iteration whose batch
+        // all retired before the crash drops what replay collected.
+        iterSpecRan_ = iterFaultSeen_ = false;
         if (cfg_.captureBatchTrace)
             stats_.batchSizeTrace.push_back(0);
         ++stats_.iterations;
@@ -910,13 +1012,6 @@ RequestManager::runIteration()
     // preempted and restarted later (vLLM-style recompute), within
     // its retry budget.
     const bool allow_spec = !degr_.speculationDisabled;
-    // A resumed iteration seeds the degradation evidence with what
-    // replay saw in the already-journaled steps, so the commit feeds
-    // updateDegradation the same signals the crashed process had.
-    bool speculation_ran = resuming && resumeSpecRan_;
-    bool fault_seen = resuming && resumeFaultSeen_;
-    resumeSpecRan_ = false;
-    resumeFaultSeen_ = false;
     for (size_t i = 0; i < active_.size();) {
         // Replay already applied this request's step for the
         // iteration being resumed (its Step record was durable);
@@ -926,16 +1021,9 @@ RequestManager::runIteration()
             ++i;
             continue;
         }
-        Request &req = active_[i].request;
+        const Request &req = active_[i].request;
         if (deadlineExpired(req)) {
-            ++stats_.deadlineExpiries;
-            if (kvPool_)
-                kvPool_->release(req.id);
-            finishAborted(std::move(req), &active_[i].session,
-                          active_[i].startIteration,
-                          core::SpecSession::StopReason::Deadline);
-            active_.erase(active_.begin() +
-                          static_cast<ptrdiff_t>(i));
+            finishActive(i, core::SpecSession::StopReason::Deadline);
             continue;
         }
         const uint64_t id = req.id;
@@ -968,8 +1056,6 @@ RequestManager::runIteration()
                 // Last resort: preempt this request itself (it will
                 // restart when memory frees, or fail cleanly once
                 // its retry budget runs out).
-                kvPool_->release(id);
-                ++stats_.preemptions;
                 requeuePreempted(std::move(active_[i].request),
                                  &active_[i].session);
                 active_.erase(active_.begin() +
@@ -998,16 +1084,7 @@ RequestManager::runIteration()
                                           lp_before),
                                   gen.end()));
         }
-        ++stats_.requestIterations;
-        const core::StepRecord &last =
-            active_[i].session.stats().steps.back();
-        if (!last.prefill && allow_spec) {
-            speculation_ran = true;
-            if (last.fallback) {
-                fault_seen = true;
-                ++stats_.fallbackSteps;
-            }
-        }
+        noteStep(active_[i].session.stats().steps.back());
         if (journal_) {
             // Crash points around the write-ahead append. Before:
             // the process dies *during* the append, leaving a torn
@@ -1026,43 +1103,18 @@ RequestManager::runIteration()
         }
         ++i;
     }
-    if (!allow_spec)
-        ++stats_.degradedIterations;
-    ++stats_.iterations;
-    updateDegradation(speculation_ran, fault_seen);
 
     // Retire finished requests; their slots free up immediately.
     for (size_t i = 0; i < active_.size();) {
-        if (!active_[i].session.done()) {
+        if (active_[i].session.done())
+            finishActive(i, active_[i].session.stopReason());
+        else
             ++i;
-            continue;
-        }
-        ActiveRequest &ar = active_[i];
-        RequestResult res;
-        res.id = ar.request.id;
-        res.tokens = ar.session.generated();
-        res.stats = ar.session.stats();
-        res.stopReason = ar.session.stopReason();
-        res.arrivalIteration = ar.request.arrivalIteration;
-        res.startIteration = ar.startIteration;
-        res.finishIteration = stats_.iterations - 1;
-        res.preemptions = ar.request.preemptionCount;
-        res.priority = ar.request.priority;
-        stats_.tokensGenerated += res.tokens.size();
-        ++stats_.requestsFinished;
-        if (kvPool_)
-            kvPool_->release(res.id);
-        if (obs_ != nullptr && obs_->tracer().enabled())
-            obs_->tracer().instant(
-                res.id, "serving", "finish", obs_->nowNanos(),
-                {{"stop", static_cast<int64_t>(res.stopReason)},
-                 {"tokens",
-                  static_cast<int64_t>(res.tokens.size())}});
-        if (journal_)
-            journalFinish(res);
-        finished_.push_back(std::move(res));
-        active_.erase(active_.begin() + static_cast<ptrdiff_t>(i));
     }
+    if (!allow_spec)
+        ++stats_.degradedIterations;
+    ++stats_.iterations;
+    updateDegradation();
 
     if (journal_) {
         // Crash point: everything this iteration journaled but the
@@ -1121,30 +1173,7 @@ RequestManager::publishMetrics()
     };
     set("serving_pending_requests", pending_.size());
     set("serving_active_requests", active_.size());
-    set("serving_iterations", stats_.iterations);
-    set("serving_requests_submitted", stats_.requestsSubmitted);
-    set("serving_requests_finished", stats_.requestsFinished);
-    set("serving_tokens_generated", stats_.tokensGenerated);
-    set("serving_request_iterations", stats_.requestIterations);
-    set("serving_preemptions", stats_.preemptions);
-    set("serving_preemption_retries", stats_.preemptionRetries);
-    set("serving_preemption_aborts", stats_.preemptionAborts);
-    set("serving_rejected_queue_full", stats_.rejectedQueueFull);
-    set("serving_rejected_never_fits", stats_.rejectedNeverFits);
-    set("serving_shed_requests", stats_.shedRequests);
-    set("serving_rejected_overloaded", stats_.rejectedOverloaded);
-    set("serving_shed_by_class_interactive",
-        stats_.shedByClass[static_cast<size_t>(
-            Priority::Interactive)]);
-    set("serving_shed_by_class_standard",
-        stats_.shedByClass[static_cast<size_t>(Priority::Standard)]);
-    set("serving_shed_by_class_batch",
-        stats_.shedByClass[static_cast<size_t>(Priority::Batch)]);
-    set("serving_deadline_expiries", stats_.deadlineExpiries);
-    set("serving_cancellations", stats_.cancellations);
-    set("serving_fallback_steps", stats_.fallbackSteps);
-    set("serving_degraded_iterations", stats_.degradedIterations);
-    set("serving_slow_iterations", stats_.slowIterations);
+    forEachStat(stats_, set);
     set("serving_speculation_disabled",
         degr_.speculationDisabled ? 1 : 0);
     // The util layer is obs-free by design; the pool self-counts
@@ -1182,20 +1211,6 @@ RequestManager::journalStep(size_t index, size_t seq_before,
 }
 
 void
-RequestManager::journalFinish(const RequestResult &res)
-{
-    JournalRecord rec;
-    rec.type = RecordType::Finish;
-    rec.id = res.id;
-    rec.stopReason = static_cast<uint8_t>(res.stopReason);
-    rec.arrivalIteration = res.arrivalIteration;
-    rec.startIteration = res.startIteration;
-    rec.finishIteration = res.finishIteration;
-    rec.preemptions = res.preemptions;
-    journal_->append(rec);
-}
-
-void
 RequestManager::journalIteration(bool degraded, bool slow)
 {
     JournalRecord rec;
@@ -1203,12 +1218,7 @@ RequestManager::journalIteration(bool degraded, bool slow)
     rec.iteration = stats_.iterations;
     rec.iterDegraded = degraded ? 1 : 0;
     rec.iterSlow = slow ? 1 : 0;
-    rec.degrSpeculationDisabled = degr_.speculationDisabled ? 1 : 0;
-    rec.degrConsecutiveFaults = degr_.consecutiveFaults;
-    rec.degrCleanIterations = degr_.cleanIterations;
-    rec.degrCurrentBackoff = degr_.currentBackoff;
-    rec.degrReenableIteration = degr_.reenableIteration;
-    rec.degrDisableEpisodes = degr_.disableEpisodes;
+    rec.degradation = degr_;
     journal_->append(rec);
     // Opt-in durability: harden the whole iteration's records at
     // the commit boundary (one fdatasync per iteration, not per
@@ -1228,16 +1238,6 @@ RequestManager::journalBegin()
 }
 
 void
-RequestManager::journalAdmit(uint64_t id, uint64_t adopted_tokens)
-{
-    JournalRecord rec;
-    rec.type = RecordType::Admit;
-    rec.id = id;
-    rec.adoptedTokens = adopted_tokens;
-    journal_->append(rec);
-}
-
-void
 RequestManager::writeSnapshot(std::ostream &out) const
 {
     out.write(kSnapMagic, 4);
@@ -1248,25 +1248,9 @@ RequestManager::writeSnapshot(std::ostream &out) const
     writePod<uint8_t>(out, cfg_.ssmPrecision);
     writePod<uint8_t>(out, cfg_.tpDegree);
 
-    writePod<uint64_t>(out, stats_.iterations);
-    writePod<uint64_t>(out, stats_.requestsSubmitted);
-    writePod<uint64_t>(out, stats_.requestsFinished);
-    writePod<uint64_t>(out, stats_.tokensGenerated);
-    writePod<uint64_t>(out, stats_.requestIterations);
-    writePod<uint64_t>(out, stats_.preemptions);
-    writePod<uint64_t>(out, stats_.rejectedQueueFull);
-    writePod<uint64_t>(out, stats_.rejectedNeverFits);
-    writePod<uint64_t>(out, stats_.shedRequests);
-    writePod<uint64_t>(out, stats_.deadlineExpiries);
-    writePod<uint64_t>(out, stats_.cancellations);
-    writePod<uint64_t>(out, stats_.fallbackSteps);
-    writePod<uint64_t>(out, stats_.degradedIterations);
-    writePod<uint64_t>(out, stats_.preemptionRetries);
-    writePod<uint64_t>(out, stats_.preemptionAborts);
-    writePod<uint64_t>(out, stats_.slowIterations);
-    writePod<uint64_t>(out, stats_.rejectedOverloaded);
-    for (size_t cls = 0; cls < kPriorityCount; ++cls)
-        writePod<uint64_t>(out, stats_.shedByClass[cls]);
+    forEachStat(stats_, [&out](const char *, size_t value) {
+        writePod<uint64_t>(out, value);
+    });
     // Per-class ingress buckets: levels and refill cursors, so a
     // recovered manager meters exactly where the crashed one left
     // off (replayed Submits then re-consume on top).
@@ -1278,20 +1262,15 @@ RequestManager::writeSnapshot(std::ostream &out) const
     for (size_t b : stats_.batchSizeTrace)
         writePod<uint64_t>(out, b);
 
-    writePod<uint8_t>(out, degr_.speculationDisabled ? 1 : 0);
-    writePod<uint64_t>(out, degr_.consecutiveFaults);
-    writePod<uint64_t>(out, degr_.cleanIterations);
-    writePod<uint64_t>(out, degr_.currentBackoff);
-    writePod<uint64_t>(out, degr_.reenableIteration);
-    writePod<uint64_t>(out, degr_.disableEpisodes);
+    writeDegradation(degr_, [&out](auto v) { writePod(out, v); });
 
     // Resume state (v6): a snapshot taken between a mid-iteration
     // recovery and the next runIteration must hand the resumed
     // iteration its journaled clock reading and step evidence.
     writePod<uint8_t>(out, resumeIteration_ ? 1 : 0);
     writePod<uint64_t>(out, nowNanos_);
-    writePod<uint8_t>(out, resumeSpecRan_ ? 1 : 0);
-    writePod<uint8_t>(out, resumeFaultSeen_ ? 1 : 0);
+    writePod<uint8_t>(out, iterSpecRan_ ? 1 : 0);
+    writePod<uint8_t>(out, iterFaultSeen_ ? 1 : 0);
 
     // Backoff-jitter RNG cursor: recovery must resume with the same
     // draw sequence an uninterrupted run would have used, or
@@ -1351,23 +1330,41 @@ RequestManager::writeSnapshot(std::ostream &out) const
 }
 
 void
+RequestManager::saveSnapshot(const std::string &path) const
+{
+    const std::string tmp = path + ".tmp";
+    {
+        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+        SPECINFER_CHECK(out.good(),
+                        "cannot write snapshot '" << tmp << "'");
+        writeSnapshot(out);
+        out.close();
+        SPECINFER_CHECK(!out.fail(),
+                        "snapshot write to '" << tmp << "' failed");
+    }
+    if (cfg_.journalFsync)
+        syncFile(tmp);
+    SPECINFER_CHECK(std::rename(tmp.c_str(), path.c_str()) == 0,
+                    "cannot rename snapshot into '" << path << "'");
+}
+
+void
 RequestManager::applyRecord(const JournalRecord &rec)
 {
+    // The journal is written in one order — Admit before any Step or
+    // Preempt of a request, Finish before its Iteration commit — and
+    // replay refuses a stream that breaks it rather than guess.
     auto findActive = [this](uint64_t id) {
-        for (size_t i = 0; i < active_.size(); ++i)
-            if (active_[i].request.id == id)
-                return i;
-        return active_.size();
+        size_t i = 0;
+        while (i < active_.size() && active_[i].request.id != id)
+            ++i;
+        return i;
     };
-    auto takePending = [this](uint64_t id, Request &out) {
-        for (auto it = pending_.begin(); it != pending_.end(); ++it) {
-            if (it->id != id)
-                continue;
-            out = std::move(*it);
-            pending_.erase(it);
-            return true;
-        }
-        return false;
+    auto findPending = [this](uint64_t id) {
+        size_t j = 0;
+        while (j < pending_.size() && pending_[j].id != id)
+            ++j;
+        return j;
     };
 
     switch (rec.type) {
@@ -1380,43 +1377,30 @@ RequestManager::applyRecord(const JournalRecord &rec)
         req.deadlineIterations = rec.deadlineIterations;
         req.deadlineNanos = rec.deadlineNanos;
         req.priority = static_cast<Priority>(rec.priority);
-        // Journaled Submits are exactly the accepted ones, so
-        // replay re-consumes the same ingress token the live
-        // submit did (the iteration clock is replay-aligned, so
-        // the lazy refill lands on the same level too).
-        consumeBucketToken(req.priority);
-        nextId_ = std::max(nextId_, rec.id + 1);
-        pending_.push_back(std::move(req));
-        ++stats_.requestsSubmitted;
+        accept(std::move(req));
+        break;
+      }
+
+      case RecordType::Admit: {
+        const size_t j = findPending(rec.id);
+        SPECINFER_CHECK(j < pending_.size(),
+                        "journal Admit for request "
+                            << rec.id << " that is not pending");
+        // The crashed process may have adopted shared prefix rows
+        // from its warm store; the recovering store is cold, so
+        // recompute up to the journaled adoption level — identical
+        // rows, identical remaining prefill iterations.
+        admit(takePending(j)).session.hydrateKv(rec.adoptedTokens);
         break;
       }
 
       case RecordType::Step: {
-        size_t idx = findActive(rec.id);
-        if (idx == active_.size()) {
-            // First journaled step ⇒ the request was admitted this
-            // iteration: move it out of pending and reserve its
-            // admission memory, exactly as live admission did.
-            Request req;
-            SPECINFER_CHECK(takePending(rec.id, req),
-                            "journal step for unknown request "
-                                << rec.id);
-            if (req.preemptionCount > 0)
-                ++stats_.preemptionRetries;
-            core::SpecSession session = engine_->makeSession(
-                req.prompt, req.id, req.maxNewTokens);
-            uint64_t cow_pending = 0;
-            // Replay re-runs the same admit (intern + reference +
-            // reserve) the live run performed; deterministic
-            // eviction means it cannot fail where live succeeded.
-            // Adoption is best-effort as always — a cold store just
-            // leaves the rows for the catch-up decode.
-            if (kvPool_)
-                cow_pending = admitKv(req, &session);
-            active_.push_back({std::move(req), std::move(session),
-                               stats_.iterations, cow_pending});
-            idx = active_.size() - 1;
-        }
+        const size_t idx = findActive(rec.id);
+        SPECINFER_CHECK(idx < active_.size(),
+                        "journal Step for request "
+                            << rec.id
+                            << " without its Admit: admission is "
+                               "journaled before any step");
         ActiveRequest &ar = active_[idx];
         if (kvPool_ &&
             cfg_.kvPolicy == KvReservationPolicy::OnDemand) {
@@ -1448,33 +1432,20 @@ RequestManager::applyRecord(const JournalRecord &rec)
                                      1);
         }
         ar.steppedThisIteration = true;
-        ++stats_.requestIterations;
-        if (!rec.step.prefill && !degr_.speculationDisabled) {
-            resumeSpecRan_ = true;
-            if (rec.step.fallback) {
-                resumeFaultSeen_ = true;
-                ++stats_.fallbackSteps;
-            }
-        }
+        noteStep(rec.step);
         break;
       }
 
       case RecordType::Preempt: {
-        Request req;
-        size_t idx = findActive(rec.id);
-        if (idx != active_.size()) {
-            req = std::move(active_[idx].request);
-            active_.erase(active_.begin() +
-                          static_cast<ptrdiff_t>(idx));
-        } else {
-            // Preempted before its first step was journaled: the
-            // request never left replay's pending queue.
-            SPECINFER_CHECK(takePending(rec.id, req),
-                            "journal preempt for unknown request "
-                                << rec.id);
-        }
-        if (kvPool_ && kvPool_->requestBlocks(rec.id) > 0)
-            kvPool_->release(rec.id);
+        const size_t idx = findActive(rec.id);
+        SPECINFER_CHECK(idx < active_.size(),
+                        "journal Preempt for request "
+                            << rec.id
+                            << " without its Admit: only admitted "
+                               "requests are preempted");
+        Request req = std::move(active_[idx].request);
+        active_.erase(active_.begin() + static_cast<ptrdiff_t>(idx));
+        releaseKv(rec.id);
         // Consume the jitter draw the live run made so the RNG
         // cursor stays aligned; the journaled restart window is
         // authoritative.
@@ -1487,52 +1458,24 @@ RequestManager::applyRecord(const JournalRecord &rec)
       }
 
       case RecordType::Finish: {
-        RequestResult res;
-        res.id = rec.id;
-        res.stopReason =
-            static_cast<core::SpecSession::StopReason>(
-                rec.stopReason);
-        res.arrivalIteration = rec.arrivalIteration;
-        res.startIteration = rec.startIteration;
-        res.finishIteration = rec.finishIteration;
-        res.preemptions = rec.preemptions;
-        size_t idx = findActive(rec.id);
-        if (idx != active_.size()) {
-            res.tokens = active_[idx].session.generated();
-            res.stats = active_[idx].session.stats();
-            res.priority = active_[idx].request.priority;
+        const size_t idx = findActive(rec.id);
+        const bool ran = idx < active_.size();
+        const size_t j = findPending(rec.id);
+        SPECINFER_CHECK(ran || j < pending_.size(),
+                        "journal Finish for unknown request "
+                            << rec.id);
+        Request req = ran ? std::move(active_[idx].request)
+                          : takePending(j);
+        // The journaled count is authoritative: a budget-exhausting
+        // preemption bumps it without a Preempt record.
+        req.preemptionCount = rec.preemptions;
+        finish(std::move(req), ran ? &active_[idx].session : nullptr,
+               rec.startIteration, rec.finishIteration,
+               static_cast<core::SpecSession::StopReason>(
+                   rec.stopReason));
+        if (ran)
             active_.erase(active_.begin() +
                           static_cast<ptrdiff_t>(idx));
-        } else {
-            Request req;
-            SPECINFER_CHECK(takePending(rec.id, req),
-                            "journal finish for unknown request "
-                                << rec.id);
-            res.priority = req.priority;
-        }
-        if (kvPool_ && kvPool_->requestBlocks(rec.id) > 0)
-            kvPool_->release(rec.id);
-        stats_.tokensGenerated += res.tokens.size();
-        ++stats_.requestsFinished;
-        switch (res.stopReason) {
-          case core::SpecSession::StopReason::Cancelled:
-            ++stats_.cancellations;
-            break;
-          case core::SpecSession::StopReason::Deadline:
-            ++stats_.deadlineExpiries;
-            break;
-          case core::SpecSession::StopReason::Shed:
-            ++stats_.shedRequests;
-            ++stats_.shedByClass[static_cast<size_t>(res.priority)];
-            break;
-          case core::SpecSession::StopReason::Preempted:
-            ++stats_.preemptionAborts;
-            ++stats_.preemptions;
-            break;
-          default:
-            break;
-        }
-        finished_.push_back(std::move(res));
         break;
       }
 
@@ -1542,18 +1485,11 @@ RequestManager::applyRecord(const JournalRecord &rec)
             ++stats_.degradedIterations;
         if (rec.iterSlow)
             ++stats_.slowIterations;
-        degr_.speculationDisabled =
-            rec.degrSpeculationDisabled != 0;
-        degr_.consecutiveFaults = rec.degrConsecutiveFaults;
-        degr_.cleanIterations = rec.degrCleanIterations;
-        degr_.currentBackoff = rec.degrCurrentBackoff;
-        degr_.reenableIteration = rec.degrReenableIteration;
-        degr_.disableEpisodes = rec.degrDisableEpisodes;
+        degr_ = rec.degradation;
         // The iteration committed: close the in-flight window the
         // Begin record opened.
         resumeIteration_ = false;
-        resumeSpecRan_ = false;
-        resumeFaultSeen_ = false;
+        iterSpecRan_ = iterFaultSeen_ = false;
         for (ActiveRequest &ar : active_)
             ar.steppedThisIteration = false;
         break;
@@ -1571,31 +1507,6 @@ RequestManager::applyRecord(const JournalRecord &rec)
             degr_.speculationDisabled = false;
         resumeIteration_ = true;
         nowNanos_ = rec.iterNanos;
-        break;
-      }
-
-      case RecordType::Admit: {
-        // Re-run the same admission the crashed process journaled:
-        // out of pending, session built, KV reserved — but not yet
-        // stepped, so a resumed iteration runs its step live.
-        Request req;
-        SPECINFER_CHECK(takePending(rec.id, req),
-                        "journal admit for unknown request "
-                            << rec.id);
-        if (req.preemptionCount > 0)
-            ++stats_.preemptionRetries;
-        core::SpecSession session = engine_->makeSession(
-            req.prompt, req.id, req.maxNewTokens);
-        uint64_t cow_pending = 0;
-        if (kvPool_)
-            cow_pending = admitKv(req, &session);
-        // The crashed process may have adopted shared prefix rows
-        // from its warm store; the recovering store is cold, so
-        // recompute up to the journaled adoption level — identical
-        // rows, identical remaining prefill iterations.
-        session.hydrateKv(rec.adoptedTokens);
-        active_.push_back({std::move(req), std::move(session),
-                           stats_.iterations, cow_pending});
         break;
       }
     }
@@ -1639,25 +1550,9 @@ RequestManager::recover(std::istream *snapshot, std::istream *journal)
                             << "; recovery must replay under the "
                                "same sharded execution shape");
 
-        stats_.iterations = readPod<uint64_t>(*snapshot);
-        stats_.requestsSubmitted = readPod<uint64_t>(*snapshot);
-        stats_.requestsFinished = readPod<uint64_t>(*snapshot);
-        stats_.tokensGenerated = readPod<uint64_t>(*snapshot);
-        stats_.requestIterations = readPod<uint64_t>(*snapshot);
-        stats_.preemptions = readPod<uint64_t>(*snapshot);
-        stats_.rejectedQueueFull = readPod<uint64_t>(*snapshot);
-        stats_.rejectedNeverFits = readPod<uint64_t>(*snapshot);
-        stats_.shedRequests = readPod<uint64_t>(*snapshot);
-        stats_.deadlineExpiries = readPod<uint64_t>(*snapshot);
-        stats_.cancellations = readPod<uint64_t>(*snapshot);
-        stats_.fallbackSteps = readPod<uint64_t>(*snapshot);
-        stats_.degradedIterations = readPod<uint64_t>(*snapshot);
-        stats_.preemptionRetries = readPod<uint64_t>(*snapshot);
-        stats_.preemptionAborts = readPod<uint64_t>(*snapshot);
-        stats_.slowIterations = readPod<uint64_t>(*snapshot);
-        stats_.rejectedOverloaded = readPod<uint64_t>(*snapshot);
-        for (size_t cls = 0; cls < kPriorityCount; ++cls)
-            stats_.shedByClass[cls] = readPod<uint64_t>(*snapshot);
+        forEachStat(stats_, [snapshot](const char *, size_t &value) {
+            value = readPod<uint64_t>(*snapshot);
+        });
         for (size_t cls = 0; cls < kPriorityCount; ++cls) {
             bucketLevel_[cls] = readPod<uint64_t>(*snapshot);
             bucketRefillIteration_[cls] =
@@ -1670,18 +1565,14 @@ RequestManager::recover(std::istream *snapshot, std::istream *journal)
         for (uint64_t i = 0; i < trace_len; ++i)
             stats_.batchSizeTrace[i] = readPod<uint64_t>(*snapshot);
 
-        degr_.speculationDisabled =
-            readPod<uint8_t>(*snapshot) != 0;
-        degr_.consecutiveFaults = readPod<uint64_t>(*snapshot);
-        degr_.cleanIterations = readPod<uint64_t>(*snapshot);
-        degr_.currentBackoff = readPod<uint64_t>(*snapshot);
-        degr_.reenableIteration = readPod<uint64_t>(*snapshot);
-        degr_.disableEpisodes = readPod<uint64_t>(*snapshot);
+        degr_ = readDegradation([snapshot](auto t) {
+            return readPod<decltype(t)>(*snapshot);
+        });
 
         resumeIteration_ = readPod<uint8_t>(*snapshot) != 0;
         nowNanos_ = readPod<uint64_t>(*snapshot);
-        resumeSpecRan_ = readPod<uint8_t>(*snapshot) != 0;
-        resumeFaultSeen_ = readPod<uint8_t>(*snapshot) != 0;
+        iterSpecRan_ = readPod<uint8_t>(*snapshot) != 0;
+        iterFaultSeen_ = readPod<uint8_t>(*snapshot) != 0;
 
         util::RngState rng_state;
         for (uint64_t &word : rng_state.s)
@@ -1762,45 +1653,23 @@ RequestManager::recover(std::istream *snapshot, std::istream *journal)
                            std::ios::cur);
         JournalReader reader(*journal);
         JournalRecord rec;
+        replaying_ = true;
         while (reader.next(rec))
             applyRecord(rec);
+        replaying_ = false;
         replayed = reader.bytesConsumed();
     }
 
-    // Sessions that finished in the crash iteration, after their
-    // Step record but before their Finish record: when the crash
-    // landed mid-iteration (Begin without its commit), the next
-    // runIteration resumes that iteration and retires them at the
-    // exact point the uninterrupted run would have — holding their
-    // KV through the remaining live steps, matching the crashed
-    // process's memory pressure. Only a boundary crash (no open
-    // Begin) retires them here.
-    for (size_t i = 0; resumeIteration_ == false &&
-                       i < active_.size();) {
-        if (!active_[i].session.done()) {
-            ++i;
-            continue;
-        }
-        ActiveRequest &ar = active_[i];
-        RequestResult res;
-        res.id = ar.request.id;
-        res.tokens = ar.session.generated();
-        res.stats = ar.session.stats();
-        res.stopReason = ar.session.stopReason();
-        res.arrivalIteration = ar.request.arrivalIteration;
-        res.startIteration = ar.startIteration;
-        res.finishIteration = stats_.iterations;
-        res.preemptions = ar.request.preemptionCount;
-        res.priority = ar.request.priority;
-        stats_.tokensGenerated += res.tokens.size();
-        ++stats_.requestsFinished;
-        if (kvPool_ && kvPool_->requestBlocks(res.id) > 0)
-            kvPool_->release(res.id);
-        if (journal_)
-            journalFinish(res);
-        finished_.push_back(std::move(res));
-        active_.erase(active_.begin() + static_cast<ptrdiff_t>(i));
-    }
+    // A session that finished in the crash iteration without its
+    // Finish record is retired when the resumed iteration runs. At a
+    // committed boundary there is none: the retire loop journals
+    // every Finish before the Iteration commit.
+    for (const ActiveRequest &ar : active_)
+        SPECINFER_CHECK(resumeIteration_ || !ar.session.done(),
+                        "request "
+                            << ar.request.id
+                            << " finished at a committed iteration "
+                               "without its Finish record");
     if (obs_ != nullptr) {
         obs_->metrics().counter("serving_recoveries")->inc();
         if (obs_->tracer().enabled())

@@ -19,6 +19,7 @@
 #include <iosfwd>
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "core/spec_engine.h"
@@ -269,30 +270,6 @@ struct ServingStats
 };
 
 /**
- * Speculation-health state for the degradation ladder: repeated
- * consecutive SSM faults disable speculation for a backoff window
- * (doubling on each repeat); every iteration then decodes
- * incrementally — slower, never wrong. A fault-free stretch of the
- * same length resets the backoff to its initial value.
- */
-struct DegradationState
-{
-    /** Speculation currently disabled (engine steps run with
-     *  allow_speculation = false). */
-    bool speculationDisabled = false;
-    /** Consecutive speculation-enabled iterations with a fault. */
-    size_t consecutiveFaults = 0;
-    /** Consecutive speculation-enabled iterations without one. */
-    size_t cleanIterations = 0;
-    /** Current disable window; doubles each repeated degradation. */
-    size_t currentBackoff = 0;
-    /** Iteration at which speculation re-enables. */
-    size_t reenableIteration = 0;
-    /** Times the ladder has disabled speculation. */
-    size_t disableEpisodes = 0;
-};
-
-/**
  * Schedules requests onto a SpecEngine with continuous batching.
  * Single-threaded by design: one manager models one serving
  * pipeline, matching the paper's per-pipeline latency experiments.
@@ -458,10 +435,11 @@ class RequestManager
     /**
      * Attach a write-ahead journal (non-owning; nullptr detaches).
      * Once attached, every scheduling event — accepted submit,
-     * committed decode step (verified tokens + post-step RNG
-     * cursor), preemption, finish, committed iteration — is
-     * appended before the manager moves on, and the Crash fault
-     * point becomes live inside runIteration() (see crashed()).
+     * iteration start, admission, committed decode step (verified
+     * tokens + post-step RNG cursor), preemption, finish, committed
+     * iteration — is appended before the manager moves on, and the
+     * Crash fault point becomes live inside runIteration() (see
+     * crashed()).
      */
     void attachJournal(JournalWriter *journal) { journal_ = journal; }
 
@@ -476,21 +454,30 @@ class RequestManager
     void writeSnapshot(std::ostream &out) const;
 
     /**
+     * writeSnapshot() into the file `path` atomically: the bytes go
+     * to `path`.tmp, which is fsync'd when ServingConfig::
+     * journalFsync is set and then renamed over `path`. A crash
+     * mid-write leaves a torn .tmp beside the previous snapshot,
+     * never a torn snapshot.
+     */
+    void saveSnapshot(const std::string &path) const;
+
+    /**
      * Rebuild pre-crash state on a *fresh* manager (same engine and
      * config as the crashed one — the caller's responsibility):
      * load the snapshot (if any), then replay the journal tail on
-     * top of it. Replay is pure bookkeeping — journaled steps are
-     * re-applied token-for-token with their stored RNG cursors, and
-     * KV caches rebuild lazily through the engine's catch-up path,
-     * so recovered outputs are bit-identical to an uninterrupted
-     * run. FCFS order, verified prefixes, preemption/backoff state,
-     * and KV pool holdings are all preserved; a torn tail record
-     * (crash mid-append) is discarded, and the lost step simply
-     * recomputes deterministically.
-     *
-     * Attach the post-recovery journal *before* calling recover()
-     * (or snapshot immediately after): results retired during
-     * replay are journaled to the attached writer.
+     * top of it. Replay runs the live transitions (admit, finish,
+     * step evidence): journaled steps are re-applied token-for-token
+     * with their stored RNG cursors and their KV rows recomputed
+     * eagerly, so recovered outputs are bit-identical to an
+     * uninterrupted run. FCFS order, verified prefixes,
+     * preemption/backoff state, and KV pool holdings are all
+     * preserved; a torn tail record (crash mid-append) is
+     * discarded, and the lost step simply recomputes
+     * deterministically. Replay appends nothing to an attached
+     * journal. A journal that breaks the emission order (a Step or
+     * Preempt without its Admit, a finished session without its
+     * Finish at a committed boundary) is refused.
      *
      * @param snapshot Snapshot stream, or nullptr to replay the
      *        whole journal from an empty manager.
@@ -515,12 +502,6 @@ class RequestManager
      *  worth (prompt + tree + bonus) under OnDemand. */
     size_t admissionTokens(const Request &req) const;
 
-    /** Admit the request's KV holding (shared chain + private
-     *  blocks) and wire prefix adoption into the session. The
-     *  caller must have checked canAdmit; aborts on failure. Returns
-     *  the partial-match hash to release at first write (0 = none). */
-    uint64_t admitKv(const Request &req, core::SpecSession *session);
-
     static constexpr size_t kNoVictim = static_cast<size_t>(-1);
 
     struct ActiveRequest
@@ -538,6 +519,45 @@ class RequestManager
          *  iteration commit). */
         bool steppedThisIteration = false;
     };
+
+    /** Remove and return pending_[index]. */
+    Request takePending(size_t index);
+
+    /**
+     * Move a request into a batch slot: build its session, admit its
+     * KV holding (shared chain + private blocks, the caller having
+     * checked canAdmit), wire prefix adoption, and (live only) end
+     * its queue span and journal the Admit with the post-admission
+     * KV residency. Live admission and Admit replay both come
+     * through here.
+     */
+    ActiveRequest &admit(Request &&req);
+
+    /**
+     * Retire a request with its terminal result: tokens and stats
+     * from `session` when it ran, the stop-reason counters, the KV
+     * release, then the trace instant and Finish record (live only).
+     * Every live retirement and Finish replay come through here.
+     */
+    void finish(Request &&req, const core::SpecSession *session,
+                size_t start_iteration, size_t finish_iteration,
+                core::SpecSession::StopReason reason);
+
+    /** finish() pending_[index], which never ran. */
+    void finishPending(size_t index,
+                       core::SpecSession::StopReason reason);
+
+    /** finish() active_[index] now and free its slot. */
+    void finishActive(size_t index,
+                      core::SpecSession::StopReason reason);
+
+    /** Release the request's KV holding, if it has one. */
+    void releaseKv(uint64_t id);
+
+    /** Count one committed step toward the iteration's evidence
+     *  (requestIterations, spec-ran/fault-seen, fallbackSteps);
+     *  the live loop and Step replay both call it. */
+    void noteStep(const core::StepRecord &step);
 
     /** Release a pending copy-on-write reference after the
      *  request's first step wrote past its divergence point. */
@@ -569,19 +589,12 @@ class RequestManager
      *  draw from backoffRng_ (replay consumes the same draw). */
     size_t jitteredBackoff(size_t preemption_count);
 
-    /** Requeue a preempted request with exponential backoff, or
-     *  fail it cleanly when its retry budget is exhausted; sheds
-     *  the newest pending request if the requeue overflows a
-     *  bounded queue. */
+    /** Release a preempted request's KV and requeue it with
+     *  exponential backoff, or fail it cleanly when its retry budget
+     *  is exhausted; sheds the newest pending request if the requeue
+     *  overflows a bounded queue. */
     void requeuePreempted(Request &&req,
                           const core::SpecSession *session);
-
-    /** Record a terminal result for a request the engine did not
-     *  finish (deadline, cancel, shed, preemption budget). */
-    void finishAborted(Request &&req,
-                       const core::SpecSession *session,
-                       size_t start_iteration,
-                       core::SpecSession::StopReason reason);
 
     /** Fail pending requests whose deadline (iteration budget or
      *  wall clock) already expired. */
@@ -607,23 +620,23 @@ class RequestManager
      *  replayed). */
     void consumeBucketToken(Priority priority);
 
+    /** Queue an accepted request: its ingress token, the id
+     *  cursor, and (live only) its Submit record. submit() and
+     *  Submit replay both come through here. */
+    void accept(Request &&req);
+
     /** Shed victim among pending_: lowest class first, latest
      *  arrival within a class; pending_.size() when none. */
     size_t shedVictimIndex() const;
 
-    /** Shed pending_[index] with StopReason::Shed (class stats). */
-    void shedPending(size_t index);
-
-    /** Update the degradation ladder after one stepping sweep. */
-    void updateDegradation(bool speculation_ran, bool fault_seen);
+    /** Feed the iteration's step evidence to the degradation
+     *  ladder, consuming it. */
+    void updateDegradation();
 
     /** Journal one committed decode step of active_[index] (the
      *  tokens/log-probs appended beyond the given pre-step sizes). */
     void journalStep(size_t index, size_t seq_before,
                      size_t log_probs_before);
-
-    /** Journal a Finish record mirroring a RequestResult. */
-    void journalFinish(const RequestResult &res);
 
     /** Journal the end-of-iteration commit (clock + degradation). */
     void journalIteration(bool degraded, bool slow);
@@ -631,11 +644,6 @@ class RequestManager
     /** Journal the start of an iteration (index + wall-clock read;
      *  see RecordType::Begin). */
     void journalBegin();
-
-    /** Journal the admission of a pending request into a batch
-     *  slot, with its post-admission KV residency (the prefix
-     *  adoption level; see RecordType::Admit). */
-    void journalAdmit(uint64_t id, uint64_t adopted_tokens);
 
     /** Apply one replayed journal record (recover() body). */
     void applyRecord(const JournalRecord &rec);
@@ -687,11 +695,14 @@ class RequestManager
      * uninterrupted run.
      */
     bool resumeIteration_ = false;
-    /** Replayed step evidence for the half-iteration being resumed,
-     *  so the resumed commit feeds updateDegradation the same
-     *  signals the crashed process saw. */
-    bool resumeSpecRan_ = false;
-    bool resumeFaultSeen_ = false;
+    /** Step evidence of the current iteration (noteStep), live or
+     *  replayed, consumed at its commit — so a resumed iteration
+     *  feeds updateDegradation the signals the crashed process saw. */
+    bool iterSpecRan_ = false;
+    bool iterFaultSeen_ = false;
+    /** Inside recover()'s journal replay: accept(), admit() and
+     *  finish() neither trace nor journal. */
+    bool replaying_ = false;
 };
 
 } // namespace runtime

@@ -156,6 +156,30 @@ TEST(SerializationDeathTest, RejectsKvTruncation)
     EXPECT_DEATH(loadKvCache(cut), "truncated");
 }
 
+TEST(SerializationTest, PodVectorSpanningChunksRoundTrips)
+{
+    // 300k ints cross the reader's 1 MiB growth step.
+    std::vector<int> v(300000);
+    for (size_t i = 0; i < v.size(); ++i)
+        v[i] = static_cast<int>(i * 2654435761u);
+    std::stringstream buf;
+    io::writePodVector<int>(buf, v);
+    EXPECT_EQ(io::readPodVector<int>(buf), v);
+}
+
+TEST(SerializationDeathTest, HugePodVectorLengthOnShortStreamIsTruncated)
+{
+    // A corrupt length claiming 2^31 ints (8 GiB) on a 16-byte
+    // stream fails as truncated after one bounded chunk instead of
+    // allocating the claimed size first.
+    std::stringstream buf;
+    io::writePod<uint64_t>(buf, uint64_t{1} << 31);
+    io::writePod<uint64_t>(buf, 0);
+    ASSERT_EQ(buf.str().size(), 16u);
+    EXPECT_DEATH(io::readPodVector<int>(buf),
+                 "truncated serialized stream");
+}
+
 TEST(SerializationTest, FileRoundTrip)
 {
     Transformer original = tinyLlm(555);

@@ -109,12 +109,12 @@ sampleIteration()
     r.iteration = 30;
     r.iterDegraded = 1;
     r.iterSlow = 1;
-    r.degrSpeculationDisabled = 1;
-    r.degrConsecutiveFaults = 3;
-    r.degrCleanIterations = 0;
-    r.degrCurrentBackoff = 8;
-    r.degrReenableIteration = 38;
-    r.degrDisableEpisodes = 2;
+    r.degradation.speculationDisabled = true;
+    r.degradation.consecutiveFaults = 3;
+    r.degradation.cleanIterations = 0;
+    r.degradation.currentBackoff = 8;
+    r.degradation.reenableIteration = 38;
+    r.degradation.disableEpisodes = 2;
     return r;
 }
 
@@ -157,13 +157,14 @@ expectEqual(const JournalRecord &got, const JournalRecord &want)
     EXPECT_EQ(got.iteration, want.iteration);
     EXPECT_EQ(got.iterDegraded, want.iterDegraded);
     EXPECT_EQ(got.iterSlow, want.iterSlow);
-    EXPECT_EQ(got.degrSpeculationDisabled,
-              want.degrSpeculationDisabled);
-    EXPECT_EQ(got.degrConsecutiveFaults, want.degrConsecutiveFaults);
-    EXPECT_EQ(got.degrCleanIterations, want.degrCleanIterations);
-    EXPECT_EQ(got.degrCurrentBackoff, want.degrCurrentBackoff);
-    EXPECT_EQ(got.degrReenableIteration, want.degrReenableIteration);
-    EXPECT_EQ(got.degrDisableEpisodes, want.degrDisableEpisodes);
+    const DegradationState &gd = got.degradation;
+    const DegradationState &wd = want.degradation;
+    EXPECT_EQ(gd.speculationDisabled, wd.speculationDisabled);
+    EXPECT_EQ(gd.consecutiveFaults, wd.consecutiveFaults);
+    EXPECT_EQ(gd.cleanIterations, wd.cleanIterations);
+    EXPECT_EQ(gd.currentBackoff, wd.currentBackoff);
+    EXPECT_EQ(gd.reenableIteration, wd.reenableIteration);
+    EXPECT_EQ(gd.disableEpisodes, wd.disableEpisodes);
 }
 
 TEST(JournalTest, AllRecordTypesRoundTrip)

@@ -13,6 +13,11 @@
  *    token-for-token identical to an uninterrupted run. Override
  *    the count with SPECINFER_RECOVERY_TRIALS=<n> and the base seed
  *    with SPECINFER_RECOVERY_SEED=<n>.
+ *  - One stats/degradation codec: a snapshot survives a recover
+ *    round trip byte for byte, every serving_* gauge equals its
+ *    ServingStats field, and atomic snapshot files survive a torn
+ *    temporary beside them.
+ *  - Replay refuses journals that break the emission order.
  *  - A crash-recovery soak: continuous batching under all fault
  *    points *plus* probabilistic crashes, recovering every time and
  *    holding the fault-soak invariants (conservation, exact or
@@ -21,7 +26,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -29,6 +36,7 @@
 
 #include "../model/test_models.h"
 #include "model/model_factory.h"
+#include "obs/obs.h"
 #include "runtime/journal.h"
 #include "runtime/request_manager.h"
 #include "util/fault.h"
@@ -360,6 +368,221 @@ TEST(RecoveryDeathTest, OutOfRangeSnapshotPriorityRefusesRecovery)
     std::stringstream damaged(bytes), journal_in;
     EXPECT_DEATH(recovered.recover(&damaged, &journal_in),
                  "snapshot priority class 3 out of range");
+}
+
+// ----------------------------------------------------------------
+// One codec per fact: stats, degradation, snapshot files.
+
+TEST(RecoveryTest, StatsRoundTripSnapshotsAndMatchGauges)
+{
+    // Drive every stop-reason and degradation counter, then check
+    // the one ServingStats list three ways: snapshot -> recover ->
+    // snapshot is byte-identical (bar the journal offset), and each
+    // serving_* gauge equals its field.
+    EngineFixture f;
+    obs::ManualClock clock(0);
+    obs::ObsContext obs_ctx(&clock, /*tracing_enabled=*/false);
+    ServingConfig cfg;
+    cfg.maxBatchSize = 2;
+    cfg.kvPoolBlocks = 14;
+    cfg.kvBlockTokens = 4;
+    cfg.kvPolicy = KvReservationPolicy::OnDemand;
+    cfg.kvPrefixSharing = true;
+    cfg.maxPendingRequests = 2;
+    cfg.maxPreemptions = 2;
+    cfg.classBucketCapacity[static_cast<size_t>(Priority::Batch)] = 2;
+    cfg.classRefillEveryIterations[static_cast<size_t>(
+        Priority::Batch)] = 50;
+    cfg.obs = &obs_ctx;
+    RequestManager live(f.engine.get(), cfg);
+    std::stringstream journal_buf;
+    JournalWriter journal(journal_buf);
+    live.attachJournal(&journal);
+
+    FaultInjector fi(7);
+    fi.setProbability(FaultPoint::SsmStep, 0.3);
+    fi.setProbability(FaultPoint::KvAlloc, 0.2);
+    fi.setProbability(FaultPoint::SlowIteration, 0.05);
+    FaultScope scope(&fi);
+    util::Rng rng(11);
+    for (int it = 0; it < 60; ++it) {
+        std::vector<int> prompt = {1 + it % 50, 2 + it % 7, 3};
+        const Priority cls =
+            static_cast<Priority>(rng.uniformInt(kPriorityCount));
+        const SubmitResult sr =
+            live.submit(prompt, 0, it % 5 == 0 ? 3 : 0, cls);
+        if (sr.accepted() && it % 7 == 3)
+            live.cancel(sr.id);
+        if (it == 30)
+            live.forceDegrade(6);
+        live.runIteration();
+    }
+    live.forceDegrade(4);
+    live.publishMetrics();
+
+    const ServingStats &st = live.stats();
+    EXPECT_GT(st.shedRequests, 0u);
+    EXPECT_GT(st.rejectedQueueFull, 0u);
+    EXPECT_GT(st.rejectedOverloaded, 0u);
+    EXPECT_GT(st.cancellations, 0u);
+    EXPECT_GT(st.deadlineExpiries, 0u);
+    EXPECT_GT(st.preemptions, 0u);
+    EXPECT_GT(st.preemptionRetries, 0u);
+    EXPECT_GT(st.fallbackSteps, 0u);
+    EXPECT_GT(st.degradedIterations, 0u);
+    EXPECT_GT(st.slowIterations, 0u);
+    ASSERT_GT(live.activeCount() + live.pendingCount(), 0u);
+
+    std::stringstream first;
+    live.writeSnapshot(first);
+    RequestManager recovered(f.engine.get(), cfg);
+    recovered.recover(&first, nullptr);
+    std::stringstream second;
+    recovered.writeSnapshot(second);
+    std::string a = first.str(), b = second.str();
+    ASSERT_EQ(a.size(), b.size());
+    // Bytes 8..16 hold the journal offset: only the live manager
+    // has a journal attached.
+    EXPECT_NE(a.substr(8, 8), b.substr(8, 8));
+    a.replace(8, 8, 8, '\0');
+    b.replace(8, 8, 8, '\0');
+    EXPECT_TRUE(a == b) << "snapshot changed across recover()";
+
+    const obs::MetricsSnapshot m = obs_ctx.metrics().snapshot();
+    const std::pair<const char *, size_t> fields[] = {
+        {"serving_iterations", st.iterations},
+        {"serving_requests_submitted", st.requestsSubmitted},
+        {"serving_requests_finished", st.requestsFinished},
+        {"serving_tokens_generated", st.tokensGenerated},
+        {"serving_request_iterations", st.requestIterations},
+        {"serving_preemptions", st.preemptions},
+        {"serving_rejected_queue_full", st.rejectedQueueFull},
+        {"serving_rejected_never_fits", st.rejectedNeverFits},
+        {"serving_shed_requests", st.shedRequests},
+        {"serving_deadline_expiries", st.deadlineExpiries},
+        {"serving_cancellations", st.cancellations},
+        {"serving_fallback_steps", st.fallbackSteps},
+        {"serving_degraded_iterations", st.degradedIterations},
+        {"serving_preemption_retries", st.preemptionRetries},
+        {"serving_preemption_aborts", st.preemptionAborts},
+        {"serving_slow_iterations", st.slowIterations},
+        {"serving_rejected_overloaded", st.rejectedOverloaded},
+        {"serving_shed_by_class_interactive", st.shedByClass[0]},
+        {"serving_shed_by_class_standard", st.shedByClass[1]},
+        {"serving_shed_by_class_batch", st.shedByClass[2]},
+        {"serving_speculation_disabled", 1},
+    };
+    for (const auto &[name, value] : fields) {
+        const obs::SnapshotGauge *g = m.findGauge(name);
+        ASSERT_NE(g, nullptr) << name;
+        EXPECT_EQ(g->value, static_cast<int64_t>(value)) << name;
+    }
+}
+
+TEST(RecoveryTest, TornSnapshotTmpBesideIntactSnapshotStillRecovers)
+{
+    EngineFixture f;
+    ServingConfig cfg;
+    cfg.maxBatchSize = 2;
+    RequestManager live(f.engine.get(), cfg);
+    std::stringstream journal_buf;
+    JournalWriter journal(journal_buf);
+    live.attachJournal(&journal);
+    ASSERT_TRUE(live.submit({4, 8, 15}).accepted());
+    ASSERT_TRUE(live.submit({16, 23, 42}).accepted());
+    for (int it = 0; it < 3; ++it)
+        live.runIteration();
+    const std::string path =
+        ::testing::TempDir() + "/specinfer_recovery_test.snap";
+    const std::string tmp = path + ".tmp";
+    live.saveSnapshot(path);
+    EXPECT_FALSE(std::ifstream(tmp).good()) << "tmp not renamed";
+
+    // The next save dies mid-write: half a newer snapshot in the
+    // temporary file, then the process is gone.
+    live.runIteration();
+    std::stringstream newer;
+    live.writeSnapshot(newer);
+    std::ofstream(tmp, std::ios::binary)
+        << newer.str().substr(0, newer.str().size() / 2);
+    const std::string journal_bytes = journal_buf.str();
+    live.runUntilDrained();
+
+    RequestManager recovered(f.engine.get(), cfg);
+    std::ifstream snap(path, std::ios::binary);
+    std::stringstream journal_in(journal_bytes);
+    recovered.recover(&snap, &journal_in);
+    // A later save replaces the torn temporary and the snapshot.
+    recovered.saveSnapshot(path);
+    EXPECT_FALSE(std::ifstream(tmp).good()) << "stale tmp survived";
+    std::stringstream expected;
+    recovered.writeSnapshot(expected);
+    std::ifstream saved(path, std::ios::binary);
+    std::stringstream saved_bytes;
+    saved_bytes << saved.rdbuf();
+    EXPECT_TRUE(saved_bytes.str() == expected.str());
+    recovered.runUntilDrained();
+    EXPECT_EQ(finishedMap(recovered), finishedMap(live));
+    std::remove(path.c_str());
+}
+
+// ----------------------------------------------------------------
+// Replay refuses journals that break the emission order.
+
+std::string
+journalOf(const std::vector<JournalRecord> &records)
+{
+    std::stringstream buf;
+    JournalWriter writer(buf);
+    for (const JournalRecord &rec : records)
+        writer.append(rec);
+    return buf.str();
+}
+
+/** Submit of request 1 then the Begin of iteration 0: the prefix
+ *  every hand-built journal below continues without an Admit. */
+std::vector<JournalRecord>
+submittedNotAdmitted()
+{
+    JournalRecord submit;
+    submit.type = RecordType::Submit;
+    submit.id = 1;
+    submit.prompt = {4, 8, 15};
+    JournalRecord begin;
+    begin.type = RecordType::Begin;
+    return {submit, begin};
+}
+
+TEST(RecoveryDeathTest, StepWithoutAdmitRefusesRecovery)
+{
+    EngineFixture f;
+    std::vector<JournalRecord> records = submittedNotAdmitted();
+    JournalRecord step;
+    step.type = RecordType::Step;
+    step.id = 1;
+    step.step.prefill = true;
+    step.step.llmChunkTokens = 3;
+    records.push_back(step);
+    std::stringstream journal_in(journalOf(records));
+    RequestManager mgr(f.engine.get(), ServingConfig{});
+    EXPECT_DEATH(mgr.recover(nullptr, &journal_in),
+                 "journal Step for request 1 without its Admit");
+}
+
+TEST(RecoveryDeathTest, PreemptWithoutAdmitRefusesRecovery)
+{
+    EngineFixture f;
+    std::vector<JournalRecord> records = submittedNotAdmitted();
+    JournalRecord preempt;
+    preempt.type = RecordType::Preempt;
+    preempt.id = 1;
+    preempt.preemptionCount = 1;
+    preempt.earliestRestart = 2;
+    records.push_back(preempt);
+    std::stringstream journal_in(journalOf(records));
+    RequestManager mgr(f.engine.get(), ServingConfig{});
+    EXPECT_DEATH(mgr.recover(nullptr, &journal_in),
+                 "journal Preempt for request 1 without its Admit");
 }
 
 // ----------------------------------------------------------------

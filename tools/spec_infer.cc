@@ -125,9 +125,7 @@ serveJournaled(core::SpecEngine &engine,
         journal_out.flush();
     });
     auto snapshot = [&]() {
-        std::ofstream snap_out(snap_path,
-                               std::ios::binary | std::ios::trunc);
-        manager.writeSnapshot(snap_out);
+        manager.saveSnapshot(snap_path);
         journal_out.flush();
         journal.sync(); // no-op without --journal-fsync
     };
