@@ -131,7 +131,7 @@ SPECINFER_RECOVERY_TRIALS=300 ./build-asan/tests/test_recovery
 
 # Data-race sweep: thread pool, batched forward, fault injection,
 # recovery machinery, the prefix-sharing soak + serving equivalence
-# suites, the int8 quantize/GEMM/forward suites (row-parallel via
+# suites, the batch stepped on several pool workers, the int8 quantize/GEMM/forward suites (row-parallel via
 # the pool), and the metrics/tracing instruments (hammered from
 # pool workers) under ThreadSanitizer.
 cmake --preset tsan
@@ -139,7 +139,7 @@ cmake --build --preset tsan
 SPECINFER_SOAK_ITERATIONS=1500 SPECINFER_RECOVERY_TRIALS=60 \
 SPECINFER_RECOVERY_SOAK_ITERATIONS=800 \
 ctest --preset tsan \
-      -R 'ThreadPool|ThreadedForward|Fault|Recovery|Journal|Crc32|Concurrency|Tracer|WorkloadTrace|OverheadGuard|KvSharing|PrefixSharing|Ring|Int8|Watchdog|SupervisorPolicy|Priority|Overload|Parallel|Collective|ShardedForward|GemmProperty'
+      -R 'ThreadPool|ThreadedForward|Fault|Recovery|Journal|Crc32|Concurrency|Tracer|WorkloadTrace|OverheadGuard|KvSharing|PrefixSharing|Ring|Int8|Watchdog|SupervisorPolicy|Priority|Overload|Parallel|Collective|ShardedForward|GemmProperty|ConcurrentStep'
 
 for b in build/bench/*; do
     echo "=== $b ==="

@@ -421,7 +421,7 @@ SpecSession::hydrateKv(size_t target_len)
 }
 
 SpecSession
-SpecEngine::loadSession(std::istream &in) const
+SpecEngine::loadSession(std::istream &in, uint64_t track) const
 {
     using model::io::readPod;
     uint32_t version = readPod<uint32_t>(in);
@@ -440,7 +440,7 @@ SpecEngine::loadSession(std::istream &in) const
         std::vector<int>(seq.begin(),
                          seq.begin() +
                              static_cast<ptrdiff_t>(prompt_len)),
-        0, max_new, 0);
+        0, max_new, track);
     session.seq_ = std::move(seq);
     session.logProbs_ = model::io::readPodVector<float>(in);
     session.rng_.setState(readRngState(in));
@@ -481,6 +481,25 @@ SpecEngine::loadSession(std::istream &in) const
 void
 SpecSession::step(bool allow_speculation)
 {
+    advance(allow_speculation);
+    publishStep();
+}
+
+void
+SpecSession::publishStep()
+{
+    publishPromptBlocks();
+    if (pendingTrace_.empty())
+        return;
+    obs::Tracer &tracer = engine_->obs_->tracer();
+    for (obs::TraceEvent &ev : pendingTrace_)
+        tracer.record(std::move(ev));
+    pendingTrace_.clear();
+}
+
+void
+SpecSession::advance(bool allow_speculation)
+{
     SPECINFER_CHECK(!done_, "step() on a finished session");
     const model::Transformer &llm = *engine_->llm_;
     const EngineConfig &cfg = engine_->cfg_;
@@ -490,6 +509,15 @@ SpecSession::step(bool allow_speculation)
     obs::Tracer *tr = (o != nullptr && o->tracer().enabled())
                           ? &o->tracer()
                           : nullptr;
+    auto span = [&](const char *name, uint64_t start,
+                    std::initializer_list<obs::TraceArg> args) {
+        pendingTrace_.push_back(obs::Tracer::spanEvent(
+            track_, "engine", name, start, tr->nowNanos(), args));
+    };
+    // Decisions keyed by (request, step index), not by consultation
+    // order: concurrent sessions and crash replay see one schedule.
+    const uint64_t fault_key =
+        util::faultKey(track_, stats_.steps.size());
 
     // 0. Chunked prefill: if more uncached tokens remain than the
     // per-iteration cap allows, absorb one plain chunk and return
@@ -508,17 +536,14 @@ SpecSession::step(bool allow_speculation)
             llm.forward(model::DecodeChunk::sequence(part),
                         llmCache_);
             if (tr != nullptr)
-                tr->span(track_, "engine", "prefill", t0,
-                         tr->nowNanos(),
-                         {{"tokens",
-                           static_cast<int64_t>(part.size())}});
+                span("prefill", t0,
+                     {{"tokens", static_cast<int64_t>(part.size())}});
             if (o != nullptr)
                 o->metrics().counter("engine_prefill_chunks")->inc();
             StepRecord prefill;
             prefill.llmChunkTokens = part.size();
             prefill.prefill = true;
             stats_.steps.push_back(prefill);
-            publishPromptBlocks();
             return;
         }
     }
@@ -533,7 +558,7 @@ SpecSession::step(bool allow_speculation)
     StepRecord record;
     TokenTree tree(seq_.back());
     if (engine_->speculator_ && allow_speculation) {
-        if (util::faultAt(util::FaultPoint::SsmStep)) {
+        if (util::faultAtKeyed(util::FaultPoint::SsmStep, fault_key)) {
             record.fallback = true;
         } else {
             const uint64_t t0 = tr != nullptr ? tr->nowNanos() : 0;
@@ -542,13 +567,11 @@ SpecSession::step(bool allow_speculation)
                                                    rng_, &cost);
             record.ssmTokensDecoded = cost.ssmTokensDecoded;
             if (tr != nullptr)
-                tr->span(track_, "engine", "speculate", t0,
-                         tr->nowNanos(),
-                         {{"tree", static_cast<int64_t>(
-                                       tree.speculatedCount())},
-                          {"ssm_tokens",
-                           static_cast<int64_t>(
-                               cost.ssmTokensDecoded)}});
+                span("speculate", t0,
+                     {{"tree", static_cast<int64_t>(
+                                   tree.speculatedCount())},
+                      {"ssm_tokens",
+                       static_cast<int64_t>(cost.ssmTokensDecoded)}});
         }
     }
     record.treeSize = tree.speculatedCount();
@@ -576,9 +599,8 @@ SpecSession::step(bool allow_speculation)
     const uint64_t t_decode = tr != nullptr ? tr->nowNanos() : 0;
     tensor::Tensor chunk_logits = llm.forward(chunk, llmCache_);
     if (tr != nullptr)
-        tr->span(track_, "engine", "tree_decode", t_decode,
-                 tr->nowNanos(),
-                 {{"chunk", static_cast<int64_t>(chunk.size())}});
+        span("tree_decode", t_decode,
+             {{"chunk", static_cast<int64_t>(chunk.size())}});
     record.llmChunkTokens = chunk.size();
 
     // Re-index logits by tree node id (root = catch-up row offset).
@@ -596,7 +618,7 @@ SpecSession::step(bool allow_speculation)
     VerifyResult verdict;
     const uint64_t t_verify = tr != nullptr ? tr->nowNanos() : 0;
     if (tree.speculatedCount() > 0 &&
-        util::faultAt(util::FaultPoint::Verify)) {
+        util::faultAtKeyed(util::FaultPoint::Verify, fault_key)) {
         record.fallback = true;
         TokenTree root_only(seq_.back());
         tensor::Tensor root_logits(1, node_logits.cols());
@@ -608,11 +630,10 @@ SpecSession::step(bool allow_speculation)
         verdict = engine_->verifier_.verify(tree, node_logits, rng_);
     }
     if (tr != nullptr)
-        tr->span(track_, "engine", "verify", t_verify, tr->nowNanos(),
-                 {{"accepted", static_cast<int64_t>(
-                                   verdict.acceptedNodes.size())},
-                  {"emitted", static_cast<int64_t>(
-                                  verdict.tokens.size())}});
+        span("verify", t_verify,
+             {{"accepted",
+               static_cast<int64_t>(verdict.acceptedNodes.size())},
+              {"emitted", static_cast<int64_t>(verdict.tokens.size())}});
 
     // Respect the generation budget and EOS.
     std::vector<int> appended = verdict.tokens;
@@ -673,8 +694,8 @@ SpecSession::step(bool allow_speculation)
         if (record.fallback) {
             reg.counter("engine_fallback_steps")->inc();
             if (tr != nullptr)
-                tr->instant(track_, "engine", "fallback",
-                            tr->nowNanos());
+                pendingTrace_.push_back(obs::Tracer::instantEvent(
+                    track_, "engine", "fallback", tr->nowNanos()));
         }
         if (record.treeSize > 0)
             acceptDepthHistogram(o)->observe(
@@ -697,7 +718,6 @@ SpecSession::step(bool allow_speculation)
         keep.push_back(base + static_cast<size_t>(offset) +
                        static_cast<size_t>(verdict.acceptedNodes[i]));
     llmCache_.keepRows(keep);
-    publishPromptBlocks();
 
     if (done_)
         return;

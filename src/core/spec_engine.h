@@ -31,6 +31,7 @@
 #include "core/speculator.h"
 #include "core/verifier.h"
 #include "model/transformer.h"
+#include "obs/trace.h"
 #include "util/rng.h"
 
 namespace specinfer {
@@ -152,8 +153,29 @@ class SpecSession
      *        this to disable speculation after repeated SSM faults;
      *        speculation is an optimization, never a correctness
      *        dependency).
+     *
+     * Equivalent to advance() followed by publishStep().
      */
     void step(bool allow_speculation = true);
+
+    /**
+     * The part of step() that touches only this session: caches,
+     * RNG, tree, and thread-safe metrics. Sessions of one engine may
+     * advance concurrently (the weights are read-only); the
+     * speculator and verifier faults are keyed by (request, step
+     * index), so the schedule is the same in any order. Engine spans
+     * and prompt-block payloads are held back for publishStep().
+     */
+    void advance(bool allow_speculation = true);
+
+    /**
+     * Emit what the last advance() held back: its engine spans to
+     * the tracer, and newly resident prompt blocks to the prefix
+     * store. Not thread-safe; the serving runtime calls it serially
+     * in batch order, so the trace and the store fill order do not
+     * depend on which session finished computing first.
+     */
+    void publishStep();
 
     /** Prompt + generated tokens. */
     const std::vector<int> &sequence() const { return seq_; }
@@ -203,8 +225,8 @@ class SpecSession
     /**
      * Attach the serving runtime's prefix-block payload store. Once
      * attached the session publishes every full prompt block it has
-     * resident (fill is a no-op for blocks the allocator never
-     * interned) and may adopt blocks via adoptPrefix(). Purely a
+     * resident (fill is a no-op for blocks no admission declared)
+     * and may adopt blocks via adoptPrefix(). Purely a
      * performance channel: chunk-layout invariance keeps outputs
      * bit-identical whether rows are adopted or recomputed.
      */
@@ -290,8 +312,9 @@ class SpecSession
     SpecStats stats_;
     bool done_ = false;
     StopReason stopReason_ = StopReason::None;
-    /** Trace track (request id under the request manager; 0 for
-     *  bare generate() sessions and reloaded snapshots). */
+    /** Request id under the request manager (the request seed for
+     *  bare generate() sessions): the trace track and the first half
+     *  of the step fault key. */
     uint64_t track_ = 0;
 
     /** Prefix-sharing payload store (non-owning; null when the
@@ -301,6 +324,9 @@ class SpecSession
     std::vector<uint64_t> promptHashes_;
     /** Prompt blocks already captured into the store. */
     size_t publishedBlocks_ = 0;
+    /** Engine trace events of the last advance(), awaiting
+     *  publishStep(). */
+    std::vector<obs::TraceEvent> pendingTrace_;
 };
 
 /**
@@ -348,8 +374,11 @@ class SpecEngine
      * (model dims and tree budget are validated; sampling/seed
      * configuration is the caller's responsibility — the serving
      * snapshot carries the engine identity implicitly).
+     *
+     * @param track The request id the session was made with: its
+     *        trace track and the key of its step faults.
      */
-    SpecSession loadSession(std::istream &in) const;
+    SpecSession loadSession(std::istream &in, uint64_t track) const;
 
   private:
     friend class SpecSession;

@@ -60,6 +60,10 @@ ShmRing::attach(void *mem, size_t capacity, bool init)
 void
 ShmRing::copyIn(uint64_t at, const void *src, size_t len)
 {
+    // A zero-length frame may carry a null payload, and memcpy's
+    // pointers must be valid even for zero bytes.
+    if (len == 0)
+        return;
     const uint64_t mask = shared_->capacity - 1;
     const size_t off = static_cast<size_t>(at & mask);
     const size_t first =
@@ -74,6 +78,8 @@ ShmRing::copyIn(uint64_t at, const void *src, size_t len)
 void
 ShmRing::copyOut(uint64_t at, void *dst, size_t len) const
 {
+    if (len == 0)
+        return;
     const uint64_t mask = shared_->capacity - 1;
     const size_t off = static_cast<size_t>(at & mask);
     const size_t first =

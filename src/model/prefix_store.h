@@ -13,8 +13,9 @@
  * recomputed rows are bitwise identical, so a cold store is a
  * performance regression, never a token-affecting one.
  *
- * Lifecycle of a block: declare() when the allocator interns its hash,
- * fill() once some session has the rows resident, adoptInto() by any
+ * Lifecycle of a block: declare() when an admission matches its hash
+ * (a block nobody reuses never holds rows), fill() once some session
+ * has the rows resident, adoptInto() by any
  * number of later sessions, evict() when the allocator reclaims the
  * accounting block (wired via KvBlockAllocator::setEvictionHook).
  */
@@ -47,7 +48,7 @@ class PrefixKvStore
     size_t kvDim() const { return kvDim_; }
     size_t blockTokens() const { return blockTokens_; }
 
-    /** Announce a block the allocator interned. Idempotent. */
+    /** Announce a block an admission matched. Idempotent. */
     void declare(uint64_t hash);
 
     bool contains(uint64_t hash) const

@@ -63,36 +63,28 @@ Tracer::Tracer(const Clock *clock, bool enabled)
 void
 Tracer::record(TraceEvent event)
 {
+    if (!enabled_)
+        return;
     std::lock_guard<std::mutex> lock(mutex_);
     events_.push_back(std::move(event));
 }
 
-void
-Tracer::span(uint64_t track, const char *category,
-             const std::string &name, uint64_t start_ns,
-             uint64_t end_ns, std::initializer_list<TraceArg> args)
+TraceEvent
+Tracer::spanEvent(uint64_t track, const char *category,
+                  const std::string &name, uint64_t start_ns,
+                  uint64_t end_ns, std::initializer_list<TraceArg> args)
 {
-    if (!enabled_)
-        return;
-    TraceEvent ev;
-    ev.name = name;
-    ev.category = category;
+    TraceEvent ev = instantEvent(track, category, name, start_ns, args);
     ev.phase = 'X';
-    ev.track = track;
-    ev.startNanos = start_ns;
     ev.durNanos = end_ns >= start_ns ? end_ns - start_ns : 0;
-    for (const TraceArg &a : args)
-        ev.args.emplace_back(a.key, a.value);
-    record(std::move(ev));
+    return ev;
 }
 
-void
-Tracer::instant(uint64_t track, const char *category,
-                const std::string &name, uint64_t ts_ns,
-                std::initializer_list<TraceArg> args)
+TraceEvent
+Tracer::instantEvent(uint64_t track, const char *category,
+                     const std::string &name, uint64_t ts_ns,
+                     std::initializer_list<TraceArg> args)
 {
-    if (!enabled_)
-        return;
     TraceEvent ev;
     ev.name = name;
     ev.category = category;
@@ -101,7 +93,25 @@ Tracer::instant(uint64_t track, const char *category,
     ev.startNanos = ts_ns;
     for (const TraceArg &a : args)
         ev.args.emplace_back(a.key, a.value);
-    record(std::move(ev));
+    return ev;
+}
+
+void
+Tracer::span(uint64_t track, const char *category,
+             const std::string &name, uint64_t start_ns,
+             uint64_t end_ns, std::initializer_list<TraceArg> args)
+{
+    if (enabled_)
+        record(spanEvent(track, category, name, start_ns, end_ns, args));
+}
+
+void
+Tracer::instant(uint64_t track, const char *category,
+                const std::string &name, uint64_t ts_ns,
+                std::initializer_list<TraceArg> args)
+{
+    if (enabled_)
+        record(instantEvent(track, category, name, ts_ns, args));
 }
 
 size_t

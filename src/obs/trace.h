@@ -87,6 +87,28 @@ class Tracer
                  const std::string &name, uint64_t ts_ns,
                  std::initializer_list<TraceArg> args = {});
 
+    /** The event span() records, built without recording it. */
+    static TraceEvent spanEvent(uint64_t track, const char *category,
+                                const std::string &name,
+                                uint64_t start_ns, uint64_t end_ns,
+                                std::initializer_list<TraceArg> args =
+                                    {});
+
+    /** The event instant() records, built without recording it. */
+    static TraceEvent instantEvent(uint64_t track,
+                                   const char *category,
+                                   const std::string &name,
+                                   uint64_t ts_ns,
+                                   std::initializer_list<TraceArg>
+                                       args = {});
+
+    /**
+     * Append a prebuilt event (no-op when disabled). Layers that
+     * build events on several threads buffer them and record them
+     * from one thread, so the append order stays deterministic.
+     */
+    void record(TraceEvent event);
+
     size_t eventCount() const;
 
     /** Copy of the recorded events, in append order. */
@@ -104,8 +126,6 @@ class Tracer
     void writeChromeTrace(std::ostream &out) const;
 
   private:
-    void record(TraceEvent event);
-
     const Clock *clock_;
     bool enabled_;
     mutable std::mutex mutex_;

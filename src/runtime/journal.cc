@@ -192,6 +192,9 @@ serializePayload(const JournalRecord &rec)
         w.pod<uint64_t>(rec.id);
         w.pod<uint64_t>(rec.adoptedTokens);
         break;
+      case RecordType::Reserve:
+        w.pod<uint64_t>(rec.id);
+        break;
     }
     return w.bytes();
 }
@@ -202,7 +205,7 @@ parsePayload(const std::string &payload, JournalRecord &rec)
     ByteReader r(payload);
     uint8_t raw_type = r.pod<uint8_t>();
     if (!r.ok() || raw_type < 1 ||
-        raw_type > static_cast<uint8_t>(RecordType::Admit))
+        raw_type > static_cast<uint8_t>(RecordType::Reserve))
         return false;
     rec = JournalRecord();
     rec.type = static_cast<RecordType>(raw_type);
@@ -262,6 +265,9 @@ parsePayload(const std::string &payload, JournalRecord &rec)
         rec.id = r.pod<uint64_t>();
         rec.adoptedTokens = r.pod<uint64_t>();
         break;
+      case RecordType::Reserve:
+        rec.id = r.pod<uint64_t>();
+        break;
     }
     // A valid payload is consumed exactly: trailing garbage means a
     // framing bug or corruption that happened to pass the CRC of a
@@ -300,6 +306,8 @@ recordTypeName(RecordType type)
         return "begin";
       case RecordType::Admit:
         return "admit";
+      case RecordType::Reserve:
+        return "reserve";
     }
     return "unknown";
 }

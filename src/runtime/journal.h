@@ -136,6 +136,15 @@ enum class RecordType : uint8_t
      * clock tick earlier than the uninterrupted run).
      */
     Admit = 7,
+    /**
+     * An active request's KV holding changed before its step: its
+     * on-demand growth, its copy-on-write release, or both. Written
+     * in the serial pre-phase of an iteration, between that phase's
+     * Preempt and Finish records, because a growth may evict
+     * zero-ref prefix blocks: replay must grow and release in the
+     * live order to rebuild the same prefix cache.
+     */
+    Reserve = 8,
 };
 
 /** Printable record type name (logs and tests). */
@@ -150,7 +159,7 @@ struct JournalRecord
 {
     RecordType type = RecordType::Submit;
 
-    /** Request id (all types except Iteration). */
+    /** Request id (all types except Iteration and Begin). */
     uint64_t id = 0;
 
     // --- Submit ---------------------------------------------------

@@ -463,13 +463,24 @@ RequestManager::admit(Request &&req)
                         "KV admission failed after canAdmit for "
                             << req.id);
     if (prefixStore_) {
-        // Declare every own block so whichever session first has the
-        // rows resident captures the payload (declare is idempotent).
-        for (uint64_t hash : match.ownHashes)
+        // Declare only the blocks this request reuses: a payload
+        // pays off once a second request matches the block, so the
+        // first matcher prefills and captures it (declare is
+        // idempotent) and later ones adopt it. A block nobody else
+        // shares never holds rows.
+        for (uint64_t hash : match.hashes)
             prefixStore_->declare(hash);
+        if (match.partialHash != 0)
+            prefixStore_->declare(match.partialHash);
         session.enablePrefixSharing(prefixStore_.get());
-        const size_t adopted = session.adoptPrefix(
-            match.hashes, match.partialHash, match.partialTokens);
+        // Replay adopts nothing: Admit replay recomputes exactly the
+        // journaled adoption level, which a store warmed by replayed
+        // sessions could otherwise overshoot.
+        const size_t adopted =
+            replaying_ ? 0
+                       : session.adoptPrefix(match.hashes,
+                                             match.partialHash,
+                                             match.partialTokens);
         if (adopted > 0 && obs_ != nullptr &&
             obs_->tracer().enabled())
             obs_->tracer().instant(
@@ -558,31 +569,18 @@ RequestManager::inflight() const
     return out;
 }
 
-namespace {
-
-/** KvAlloc fault key: one decision window per (request, iteration).
- *  Keyed (not stream-drawn) so the schedule is replay-stable — a
- *  recovered process re-running a torn step re-consults the same
- *  (id, iteration) and gets the same answer, and replayed steps
- *  that skip the consult cannot shift later decisions. Repeats
- *  within one iteration deliberately agree: allocation pressure is
- *  temporally correlated, not per-call coin flips. */
-uint64_t
-kvFaultKey(uint64_t id, uint64_t iteration)
-{
-    return (id + 1) * 0x9e3779b97f4a7c15ULL + iteration;
-}
-
-} // namespace
-
 bool
 RequestManager::tryReserve(uint64_t id, size_t tokens)
 {
     // An injected allocation fault is indistinguishable from real
     // pool pressure, so the same preempt/retry/backoff machinery
-    // absorbs both.
+    // absorbs both. One decision window per (request, iteration):
+    // a recovered process re-running a torn step gets the same
+    // answer, and repeats within one iteration deliberately agree
+    // (allocation pressure is temporally correlated, not per-call
+    // coin flips).
     if (util::faultAtKeyed(util::FaultPoint::KvAlloc,
-                           kvFaultKey(id, stats_.iterations)))
+                           util::faultKey(id, stats_.iterations)))
         return false;
     return kvPool_->reserve(id, tokens);
 }
@@ -972,7 +970,7 @@ RequestManager::runIteration()
                 // admission exactly like pool pressure would.
                 if (util::faultAtKeyed(
                         util::FaultPoint::KvAlloc,
-                        kvFaultKey(cand.id, stats_.iterations)))
+                        util::faultKey(cand.id, stats_.iterations)))
                     break;
             }
             admit(takePending(j));
@@ -1006,18 +1004,25 @@ RequestManager::runIteration()
     }
 
     // One decoding iteration per active request (iteration-level
-    // scheduling: requests at different progress advance together).
-    // Under on-demand paging a request's growth may exhaust the
-    // pool mid-flight; the youngest active request is then
+    // scheduling: requests at different progress advance together),
+    // in three phases. (1) Serially, in batch order: deadline expiry,
+    // then the request's KV growth under on-demand paging — when the
+    // pool cannot grow it, the lowest-class youngest request is
     // preempted and restarted later (vLLM-style recompute), within
-    // its retry budget.
+    // its retry budget — then its copy-on-write settle. Every
+    // allocator call happens here, in the order the steps would make
+    // them one after another, and the journal records them in that
+    // order (Reserve, Preempt, Finish). (2) One pool job per session
+    // advances the batch concurrently; each session owns its caches,
+    // RNG and tree, and the weights are read-only. (3) Serially, in
+    // batch order: publish spans and prefix payloads, stream, account
+    // and journal each step.
     const bool allow_spec = !degr_.speculationDisabled;
     for (size_t i = 0; i < active_.size();) {
         // Replay already applied this request's step for the
         // iteration being resumed (its Step record was durable);
         // re-running it would double-step the session.
         if (active_[i].steppedThisIteration) {
-            active_[i].steppedThisIteration = false;
             ++i;
             continue;
         }
@@ -1028,6 +1033,7 @@ RequestManager::runIteration()
         }
         const uint64_t id = req.id;
         const Priority cls = req.priority;
+        const size_t held = kvPool_ ? kvPool_->requestBlocks(id) : 0;
         if (kvPool_ &&
             cfg_.kvPolicy == KvReservationPolicy::OnDemand) {
             const size_t need = active_[i].session.sequence().size() +
@@ -1063,28 +1069,67 @@ RequestManager::runIteration()
                 continue;
             }
         }
-        const size_t seq_before = active_[i].session.sequence().size();
-        const size_t lp_before = active_[i].session.logProbs().size();
-        active_[i].session.step(allow_spec);
-        // First write past the divergence point of a partially
+        // The step writes past the divergence point of a partially
         // shared block: release the shared reference — the private
         // block charged at admission owns those positions now.
+        const bool cow = active_[i].cowPending != 0;
         settleCow(active_[i]);
+        if (journal_ &&
+            (cow || (kvPool_ && kvPool_->requestBlocks(id) != held))) {
+            // A growth may have evicted zero-ref prefix blocks: replay
+            // must grow here, between this phase's Preempt and Finish
+            // records, not at the Step record, to evict the same ones.
+            JournalRecord rec;
+            rec.type = RecordType::Reserve;
+            rec.id = id;
+            journal_->append(rec);
+        }
+        ++i;
+    }
+
+    struct Stepping
+    {
+        size_t index;     ///< position in active_
+        size_t seqBefore; ///< sequence length before the step
+        size_t lpBefore;  ///< generated length before the step
+    };
+    std::vector<Stepping> stepping;
+    stepping.reserve(active_.size());
+    for (size_t i = 0; i < active_.size(); ++i) {
+        ActiveRequest &ar = active_[i];
+        if (ar.steppedThisIteration)
+            ar.steppedThisIteration = false;
+        else
+            stepping.push_back({i, ar.session.sequence().size(),
+                                ar.session.logProbs().size()});
+    }
+
+    // A one-session region runs inline on this thread, keeping the
+    // pool for the session's own kernels; wider regions put one
+    // session on each worker, where the nested kernel calls run
+    // serially.
+    util::ThreadPool::global().parallelFor(
+        0, stepping.size(), [&](size_t k) {
+            active_[stepping[k].index].session.advance(allow_spec);
+        });
+
+    for (const Stepping &st : stepping) {
+        ActiveRequest &ar = active_[st.index];
+        ar.session.publishStep();
         if (stepObserver_) {
-            // logProbs() is parallel to generated(), so lp_before is
+            // logProbs() is parallel to generated(), so lpBefore is
             // the pre-step generated length: everything past it is
             // this step's freshly committed tokens.
-            const std::vector<int> gen =
-                active_[i].session.generated();
-            if (gen.size() > lp_before)
-                stepObserver_(active_[i].request.id, lp_before,
+            const std::vector<int> gen = ar.session.generated();
+            if (gen.size() > st.lpBefore)
+                stepObserver_(ar.request.id, st.lpBefore,
                               std::vector<int>(
                                   gen.begin() +
                                       static_cast<ptrdiff_t>(
-                                          lp_before),
+                                          st.lpBefore),
                                   gen.end()));
         }
-        noteStep(active_[i].session.stats().steps.back());
+        noteStep(ar.session.stats().steps.back());
         if (journal_) {
             // Crash points around the write-ahead append. Before:
             // the process dies *during* the append, leaving a torn
@@ -1095,13 +1140,12 @@ RequestManager::runIteration()
             const bool torn = util::faultAt(util::FaultPoint::Crash);
             if (torn)
                 journal_->tearNextAppend();
-            journalStep(i, seq_before, lp_before);
+            journalStep(st.index, st.seqBefore, st.lpBefore);
             if (torn || util::faultAt(util::FaultPoint::Crash)) {
                 noteCrash();
                 return;
             }
         }
-        ++i;
     }
 
     // Retire finished requests; their slots free up immediately.
@@ -1351,9 +1395,10 @@ RequestManager::saveSnapshot(const std::string &path) const
 void
 RequestManager::applyRecord(const JournalRecord &rec)
 {
-    // The journal is written in one order — Admit before any Step or
-    // Preempt of a request, Finish before its Iteration commit — and
-    // replay refuses a stream that breaks it rather than guess.
+    // The journal is written in one order — Admit before any
+    // Reserve, Step or Preempt of a request, Finish before its
+    // Iteration commit — and replay refuses a stream that breaks it
+    // rather than guess.
     auto findActive = [this](uint64_t id) {
         size_t i = 0;
         while (i < active_.size() && active_[i].request.id != id)
@@ -1387,7 +1432,7 @@ RequestManager::applyRecord(const JournalRecord &rec)
                         "journal Admit for request "
                             << rec.id << " that is not pending");
         // The crashed process may have adopted shared prefix rows
-        // from its warm store; the recovering store is cold, so
+        // from its warm store; replayed admission adopts none, so
         // recompute up to the journaled adoption level — identical
         // rows, identical remaining prefill iterations.
         admit(takePending(j)).session.hydrateKv(rec.adoptedTokens);
@@ -1402,21 +1447,11 @@ RequestManager::applyRecord(const JournalRecord &rec)
                             << " without its Admit: admission is "
                                "journaled before any step");
         ActiveRequest &ar = active_[idx];
-        if (kvPool_ &&
-            cfg_.kvPolicy == KvReservationPolicy::OnDemand) {
-            const size_t need = ar.session.sequence().size() +
-                                engine_->treeBudget() + 2;
-            SPECINFER_CHECK(kvPool_->reserve(ar.request.id, need),
-                            "replay KV growth failed for "
-                                << ar.request.id);
-        }
         ar.session.restoreStep(
             rec.tokens, rec.logProbs, rec.step, rec.rngAfter,
             rec.sessionDone,
             static_cast<core::SpecSession::StopReason>(
                 rec.stopReason));
-        // Mirror the live post-step copy-on-write release.
-        settleCow(ar);
         // Redo-recovery: bring the KV cache to the level the live
         // run held after this step, so the session does not repeat
         // prefill iterations after recovery (wall-clock deadlines
@@ -1433,6 +1468,29 @@ RequestManager::applyRecord(const JournalRecord &rec)
         }
         ar.steppedThisIteration = true;
         noteStep(rec.step);
+        break;
+      }
+
+      case RecordType::Reserve: {
+        const size_t idx = findActive(rec.id);
+        SPECINFER_CHECK(idx < active_.size(),
+                        "journal Reserve for request "
+                            << rec.id
+                            << " without its Admit: only admitted "
+                               "requests grow");
+        // The live pre-phase, before the step: the growth it made
+        // (the session still holds its pre-step sequence), then the
+        // copy-on-write release.
+        ActiveRequest &ar = active_[idx];
+        if (kvPool_ &&
+            cfg_.kvPolicy == KvReservationPolicy::OnDemand) {
+            const size_t need = ar.session.sequence().size() +
+                                engine_->treeBudget() + 2;
+            SPECINFER_CHECK(kvPool_->reserve(ar.request.id, need),
+                            "replay KV growth failed for "
+                                << ar.request.id);
+        }
+        settleCow(ar);
         break;
       }
 
@@ -1596,12 +1654,10 @@ RequestManager::recover(std::istream *snapshot, std::istream *journal)
             uint64_t parent = readPod<uint64_t>(*snapshot);
             uint64_t depth = readPod<uint64_t>(*snapshot);
             std::vector<int> tokens = readPodVector<int>(*snapshot);
+            // Payload rows are not persisted: the block is declared
+            // again when an admission matches it.
             kvPool_->restoreSharedBlock(hash, parent, depth,
                                         std::move(tokens));
-            // Declared but cold: payload rows are not persisted, so
-            // adoption misses until some session republishes them.
-            if (prefixStore_)
-                prefixStore_->declare(hash);
         }
 
         uint64_t n_active = readPod<uint64_t>(*snapshot);
@@ -1617,7 +1673,7 @@ RequestManager::recover(std::istream *snapshot, std::istream *journal)
             uint64_t cow_pending = readPod<uint64_t>(*snapshot);
             const bool stepped = readPod<uint8_t>(*snapshot) != 0;
             core::SpecSession session =
-                engine_->loadSession(*snapshot);
+                engine_->loadSession(*snapshot, req.id);
             if (kvPool_) {
                 for (uint64_t hash : shared_hashes)
                     kvPool_->restoreAcquire(req.id, hash, false);

@@ -526,9 +526,9 @@ class RequestManager
     /**
      * Move a request into a batch slot: build its session, admit its
      * KV holding (shared chain + private blocks, the caller having
-     * checked canAdmit), wire prefix adoption, and (live only) end
-     * its queue span and journal the Admit with the post-admission
-     * KV residency. Live admission and Admit replay both come
+     * checked canAdmit), declare the matched prefix blocks, and
+     * (live only) adopt their payloads, end its queue span and
+     * journal the Admit with the post-admission KV residency. Live admission and Admit replay both come
      * through here.
      */
     ActiveRequest &admit(Request &&req);

@@ -226,6 +226,19 @@ faultAtKeyed(FaultPoint point, uint64_t key)
 }
 
 /**
+ * Key for faultAtKeyed() naming one decision window of one request:
+ * (request id, iteration) for KvAlloc, (request id, step index) for
+ * SsmStep and Verify. Keys from world state, never from consultation
+ * order, keep a schedule identical however many sessions consult
+ * concurrently and whichever consultations crash replay skips.
+ */
+inline uint64_t
+faultKey(uint64_t id, uint64_t index)
+{
+    return (id + 1) * 0x9e3779b97f4a7c15ULL + index;
+}
+
+/**
  * RAII installation of an injector for one scope (typically one
  * test); restores the previous injector on destruction so schedules
  * never leak across tests.

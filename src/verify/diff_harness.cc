@@ -199,6 +199,20 @@ checkTreeStructure(const core::TokenTree &tree, std::string *why)
     return true;
 }
 
+/** The KV pool's occupancy and its resident shared blocks with
+ *  their refcounts (empty without a pool). */
+std::map<uint64_t, size_t>
+kvPoolState(const runtime::RequestManager &mgr)
+{
+    std::map<uint64_t, size_t> out;
+    if (!mgr.kvPool())
+        return out;
+    for (const auto &[hash, block] : mgr.kvPool()->sharedTable())
+        out[hash] = block.refs;
+    out[0] = mgr.kvPool()->usedBlocks(); // hash 0 names no block
+    return out;
+}
+
 } // namespace
 
 TrialOutcome
@@ -920,6 +934,19 @@ runRecoveryTrial(uint64_t seed, bool verbose)
             recovered->recover(
                 snap_bytes.empty() ? nullptr : &snap_in,
                 &journal_in);
+            // Every allocator call of an iteration is journaled
+            // before the next crash point, so the recovered pool
+            // equals the crashed one. Eviction picks its victim from
+            // the resident set: replay that grew and released out of
+            // the live order would leave a different prefix cache
+            // even where every output still matches.
+            if (kvPoolState(*recovered) != kvPoolState(*mgr)) {
+                out.ok = false;
+                out.detail = "recovered KV pool differs from the "
+                             "crashed one (crash " +
+                             std::to_string(crashes) + ")";
+                return out;
+            }
             mgr = std::move(recovered);
             journal_buf = std::move(new_buf);
             writer = std::move(new_writer);

@@ -1,7 +1,8 @@
 /**
  * @file
- * Shared helpers for model/core tests: tiny model construction and
- * random token-tree chunk generation.
+ * Shared helpers for model/core tests: tiny model construction,
+ * random token-tree chunk generation, and the pool-size helpers of
+ * the concurrency tests.
  */
 
 #ifndef SPECINFER_TESTS_MODEL_TEST_MODELS_H
@@ -11,7 +12,9 @@
 
 #include "model/model_factory.h"
 #include "model/transformer.h"
+#include "obs/metrics.h"
 #include "util/rng.h"
+#include "util/threadpool.h"
 
 namespace specinfer {
 namespace testing {
@@ -69,6 +72,35 @@ randomTreeChunk(util::Rng &rng, size_t nodes, size_t vocab)
                          static_cast<uint64_t>(i))));
     }
     return chunk;
+}
+
+/** Resize the global pool for one scope, restoring it on exit. */
+class PoolThreadsScope
+{
+  public:
+    explicit PoolThreadsScope(size_t threads)
+        : restore_(util::ThreadPool::global().threads())
+    {
+        util::ThreadPool::global().setThreads(threads);
+    }
+    ~PoolThreadsScope() { util::ThreadPool::global().setThreads(restore_); }
+
+    PoolThreadsScope(const PoolThreadsScope &) = delete;
+    PoolThreadsScope &operator=(const PoolThreadsScope &) = delete;
+
+  private:
+    size_t restore_;
+};
+
+/** The snapshot minus the pool_threads gauge, which reports the
+ *  pool size itself: what runs at different pool sizes compare. */
+inline obs::MetricsSnapshot
+withoutPoolSize(obs::MetricsSnapshot snapshot)
+{
+    std::erase_if(snapshot.gauges, [](const obs::SnapshotGauge &g) {
+        return g.name == "pool_threads";
+    });
+    return snapshot;
 }
 
 } // namespace testing

@@ -34,6 +34,7 @@ namespace obs {
 namespace {
 
 using specinfer::testing::tinyLlm;
+using specinfer::testing::withoutPoolSize;
 
 core::EngineConfig
 engineConfig(ObsContext *ctx)
@@ -174,9 +175,11 @@ struct RecoveredRun
  * Journal a 2-request run for 4 iterations, "crash" (drop the live
  * manager), then rebuild from the journal bytes under a *fresh*
  * fully-traced ObsContext, submit 2 late requests, and drain.
+ * `clock_step` is the recovering ManualClock's auto-step per read
+ * (0 = frozen clock).
  */
 RecoveredRun
-runCrashRecoverWorkload()
+runCrashRecoverWorkload(uint64_t clock_step = 1000)
 {
     model::Transformer llm = tinyLlm();
     model::Transformer ssm = model::makeEarlyExitSsm(llm, 2);
@@ -199,7 +202,7 @@ runCrashRecoverWorkload()
     }
 
     // Phase 2: recover under full instrumentation.
-    ManualClock clock(0, 1000);
+    ManualClock clock(0, clock_step);
     ObsContext ctx(&clock, true);
     core::SpecEngine engine(&llm, {&ssm}, engineConfig(&ctx));
     runtime::ServingConfig rcfg = cfg;
@@ -267,7 +270,10 @@ TEST(OverheadGuardTest, RecoveredMetricsAndTraceAreReproducible)
 {
     // Two independent crash/recover executions under ManualClock
     // must agree byte-for-byte: same metrics snapshot (gauge sync is
-    // idempotent under replay) and same serialized trace.
+    // idempotent under replay) and same serialized trace. The
+    // auto-stepping clock stamps events in clock-read order, which
+    // only a serial pool fixes.
+    specinfer::testing::PoolThreadsScope serial(1);
     RecoveredRun a = runCrashRecoverWorkload();
     RecoveredRun b = runCrashRecoverWorkload();
     EXPECT_EQ(a.finished, b.finished);
@@ -278,6 +284,28 @@ TEST(OverheadGuardTest, RecoveredMetricsAndTraceAreReproducible)
     writePrometheus(a.metrics, pa);
     writePrometheus(b.metrics, pb);
     EXPECT_EQ(pa.str(), pb.str());
+}
+
+TEST(OverheadGuardTest, ConcurrentRecoveredRunTracesLikeSerialRun)
+{
+    // With the clock frozen, the recovered run stepped on four
+    // workers must reproduce the serial run's outputs, metrics and
+    // trace bytes: spans are published in batch order, not in the
+    // order sessions finish computing.
+    RecoveredRun serial;
+    {
+        specinfer::testing::PoolThreadsScope pool(1);
+        serial = runCrashRecoverWorkload(0);
+    }
+    specinfer::testing::PoolThreadsScope pool(4);
+    RecoveredRun a = runCrashRecoverWorkload(0);
+    RecoveredRun b = runCrashRecoverWorkload(0);
+    EXPECT_EQ(a.finished, serial.finished);
+    EXPECT_TRUE(a.metrics == b.metrics);
+    EXPECT_TRUE(withoutPoolSize(a.metrics) ==
+                withoutPoolSize(serial.metrics));
+    EXPECT_EQ(a.trace, b.trace);
+    EXPECT_EQ(a.trace, serial.trace);
 }
 
 } // namespace

@@ -2,7 +2,9 @@
  * @file
  * Tracer and exporter tests: byte-exact golden Chrome trace output
  * under a ManualClock, determinism of a seeded 3-request serving
- * workload (two fresh runs must serialize identically), the
+ * workload (two fresh runs must serialize identically, and with a
+ * frozen clock the batch stepped concurrently must trace exactly
+ * like the batch stepped serially), the
  * trace-JSON schema validator, and a Prometheus text-exposition
  * round trip through writePrometheus -> parsePrometheus.
  */
@@ -22,6 +24,8 @@
 namespace specinfer {
 namespace obs {
 namespace {
+
+using specinfer::testing::withoutPoolSize;
 
 TEST(ManualClockTest, DeterministicReadsAndSteps)
 {
@@ -162,10 +166,14 @@ struct WorkloadResult
     MetricsSnapshot metrics;
 };
 
+/** @param clock_step ManualClock auto-step per read: 1000 (1us)
+ *         makes every timestamp depend on the order of clock reads,
+ *         which only a serial pool fixes; 0 freezes the clock, so
+ *         the trace shows event order and content alone. */
 WorkloadResult
-runSeededWorkload()
+runSeededWorkload(uint64_t clock_step = 1000)
 {
-    ManualClock clock(0, 1000); // 1us per read, fully deterministic
+    ManualClock clock(0, clock_step);
     ObsContext ctx(&clock, /*tracing_enabled=*/true);
 
     model::Transformer llm = specinfer::testing::tinyLlm();
@@ -197,6 +205,9 @@ runSeededWorkload()
 
 TEST(WorkloadTraceTest, SeededWorkloadIsByteStable)
 {
+    // Concurrent sessions interleave their reads of the auto-stepping
+    // clock; a serial pool keeps the read order fixed.
+    specinfer::testing::PoolThreadsScope serial(1);
     WorkloadResult a = runSeededWorkload();
     WorkloadResult b = runSeededWorkload();
     EXPECT_EQ(a.traceJson, b.traceJson);
@@ -218,6 +229,29 @@ TEST(WorkloadTraceTest, SeededWorkloadIsByteStable)
           "\"name\":\"verify\"", "\"name\":\"prefill\""})
         EXPECT_NE(a.traceJson.find(name), std::string::npos)
             << "missing event " << name;
+}
+
+TEST(WorkloadTraceTest, ConcurrentStepsTraceLikeSerialSteps)
+{
+    // Under a frozen clock the trace is the event sequence itself:
+    // sessions stepped on four workers must publish the same events
+    // in the same order, with the same metrics, as one thread does.
+    WorkloadResult serial;
+    {
+        specinfer::testing::PoolThreadsScope pool(1);
+        serial = runSeededWorkload(0);
+    }
+    specinfer::testing::PoolThreadsScope pool(4);
+    WorkloadResult a = runSeededWorkload(0);
+    WorkloadResult b = runSeededWorkload(0);
+    EXPECT_EQ(a.traceJson, b.traceJson);
+    EXPECT_EQ(a.traceJson, serial.traceJson);
+    EXPECT_EQ(a.eventCount, serial.eventCount);
+    EXPECT_TRUE(a.metrics == b.metrics);
+    EXPECT_TRUE(withoutPoolSize(a.metrics) ==
+                withoutPoolSize(serial.metrics));
+    EXPECT_NE(a.traceJson.find("\"name\":\"speculate\""),
+              std::string::npos);
 }
 
 TEST(WorkloadTraceTest, MetricsDescribeTheWorkload)

@@ -93,7 +93,7 @@ TEST(FaultSoakTest, RandomFaultScheduleKeepsEveryInvariant)
     {
         std::vector<int> prompt;
         size_t maxNewTokens;
-        bool hadDeadline;
+        bool hadDeadline = false;
     };
     std::map<uint64_t, Submitted> accepted;
     std::vector<uint64_t> live; // accepted, not yet seen finished

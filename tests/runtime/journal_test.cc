@@ -118,11 +118,20 @@ sampleIteration()
     return r;
 }
 
+JournalRecord
+sampleReserve()
+{
+    JournalRecord r;
+    r.type = RecordType::Reserve;
+    r.id = 42;
+    return r;
+}
+
 std::vector<JournalRecord>
 sampleRecords()
 {
     return {sampleSubmit(), sampleStep(), samplePreempt(),
-            sampleFinish(), sampleIteration()};
+            sampleFinish(), sampleIteration(), sampleReserve()};
 }
 
 void

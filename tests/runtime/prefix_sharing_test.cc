@@ -116,6 +116,42 @@ TEST(PrefixSharingTest, TokenIdenticalWithLowerPeakOccupancy)
     EXPECT_EQ(plain.kvPool()->usedBlocks(), 0u);
 }
 
+TEST(PrefixSharingTest, PayloadsOnlyForMatchedBlocks)
+{
+    // Four requests share a 2-block prefix and end with one full
+    // block of their own. Only the prefix is ever matched, so only
+    // its two blocks hold rows; a distinct suffix block gets a
+    // payload once a later request matches it.
+    Fixture f;
+    ServingConfig cfg;
+    cfg.maxBatchSize = 8;
+    cfg.kvBlockTokens = 8;
+    cfg.kvPoolBlocks = 256; // ample: nothing is evicted
+    cfg.kvPrefixSharing = true;
+    RequestManager mgr(&f.engine, cfg);
+
+    auto promptFor = [](int suffix) {
+        std::vector<int> prompt;
+        for (int t = 0; t < 16; ++t)
+            prompt.push_back(10 + t);
+        for (int t = 0; t < 8; ++t)
+            prompt.push_back(t == 0 ? 50 + suffix : 30 + t);
+        return prompt;
+    };
+    for (int i = 0; i < 4; ++i)
+        ASSERT_TRUE(mgr.submit(promptFor(i)).accepted());
+    mgr.runUntilDrained();
+    const model::PrefixKvStore *store = mgr.prefixStore();
+    ASSERT_NE(store, nullptr);
+    EXPECT_EQ(store->filledCount(), 2u);
+    EXPECT_EQ(mgr.kvPool()->stats().redundantReleases, 0u);
+
+    // A repeat of the first prompt matches its suffix block too.
+    ASSERT_TRUE(mgr.submit(promptFor(0)).accepted());
+    mgr.runUntilDrained();
+    EXPECT_EQ(store->filledCount(), 3u);
+}
+
 TEST(PrefixSharingTest, TightPoolStillTokenIdentical)
 {
     // Under real memory pressure (OnDemand paging + evictions of

@@ -17,7 +17,8 @@
  *    round trip byte for byte, every serving_* gauge equals its
  *    ServingStats field, and atomic snapshot files survive a torn
  *    temporary beside them.
- *  - Replay refuses journals that break the emission order.
+ *  - Replay refuses journals that break the emission order, and
+ *    keeps the live order of the pre-phase's growths and releases.
  *  - A crash-recovery soak: continuous batching under all fault
  *    points *plus* probabilistic crashes, recovering every time and
  *    holding the fault-soak invariants (conservation, exact or
@@ -96,7 +97,8 @@ runSessionRoundTrip(bool stochastic)
 
     std::stringstream buf;
     original.save(buf);
-    SpecSession restored = f.engine->loadSession(buf);
+    SpecSession restored =
+        f.engine->loadSession(buf, /*track=*/9);
 
     EXPECT_EQ(restored.sequence(), original.sequence());
     EXPECT_EQ(restored.logProbs(), original.logProbs());
@@ -245,6 +247,87 @@ TEST(RecoveryTest, RecoveredManagerKeepsJournalingForNextCrash)
     ASSERT_TRUE(reference.submit({16, 23, 42}).accepted());
     reference.runUntilDrained();
     EXPECT_EQ(finishedMap(third), finishedMap(reference));
+}
+
+// ----------------------------------------------------------------
+// Replay keeps the pre-phase's allocator order.
+
+/**
+ * On-demand paging with prefix sharing: request P leaves its prompt
+ * blocks in the prefix cache, then A and C share the batch. In one
+ * iteration A's growth evicts one of P's cached blocks, and C, later
+ * in the batch, then leaves — it expires (c_deadline 1) or cannot
+ * grow and is preempted (c_deadline 4). Recovering from the journal
+ * must rebuild the live allocator: replay that released C's blocks
+ * before growing A would find free blocks and evict nothing.
+ */
+void
+runPrePhaseOrdering(size_t c_deadline, bool expires)
+{
+    EngineFixture f;
+    ServingConfig cfg;
+    cfg.maxBatchSize = 2;
+    cfg.kvBlockTokens = 4;
+    cfg.kvPoolBlocks = 11;
+    cfg.kvPolicy = KvReservationPolicy::OnDemand;
+    cfg.kvPrefixSharing = true;
+    RequestManager live(f.engine.get(), cfg);
+    std::stringstream journal_buf;
+    JournalWriter journal(journal_buf);
+    live.attachJournal(&journal);
+
+    ASSERT_TRUE(live.submit({10, 11, 12, 13, 14, 15, 16, 17}, 1)
+                    .accepted());
+    while (live.finished().empty())
+        live.runIteration();
+    ASSERT_EQ(live.kvPool()->residentSharedBlocks(), 2u);
+    ASSERT_TRUE(live.submit({40, 41, 42}).accepted());
+    ASSERT_TRUE(live.submit({50, 51, 52}, 0, c_deadline).accepted());
+    live.runIteration(); // admits A then C
+    const KvMemoryStats &kv = live.kvPool()->stats();
+    bool seen = false;
+    for (int it = 0; it < 8 && !seen; ++it) {
+        const size_t evictions = kv.sharedEvictions;
+        const size_t expiries = live.stats().deadlineExpiries;
+        const size_t preemptions = live.stats().preemptions;
+        live.runIteration();
+        seen = kv.sharedEvictions > evictions &&
+               (expires ? live.stats().deadlineExpiries > expiries
+                        : live.stats().preemptions > preemptions);
+    }
+    ASSERT_TRUE(seen) << "no iteration both evicted and lost C";
+
+    RequestManager recovered(f.engine.get(), cfg);
+    std::stringstream journal_in(journal_buf.str());
+    recovered.recover(nullptr, &journal_in);
+    auto cache = [](const RequestManager &m) {
+        std::map<uint64_t, size_t> refs;
+        for (const auto &[hash, block] : m.kvPool()->sharedTable())
+            refs[hash] = block.refs;
+        return refs;
+    };
+    EXPECT_EQ(cache(recovered), cache(live));
+    for (uint64_t id : {2, 3})
+        EXPECT_EQ(recovered.kvPool()->requestBlocks(id),
+                  live.kvPool()->requestBlocks(id))
+            << "request " << id;
+    const KvMemoryStats &rkv = recovered.kvPool()->stats();
+    EXPECT_EQ(rkv.sharedEvictions, kv.sharedEvictions);
+    EXPECT_EQ(rkv.prefixHits, kv.prefixHits);
+    EXPECT_EQ(rkv.prefixMisses, kv.prefixMisses);
+    EXPECT_EQ(rkv.cowCopies, kv.cowCopies);
+    EXPECT_EQ(rkv.totalReservations, kv.totalReservations);
+    EXPECT_EQ(rkv.peakUsedBlocks, kv.peakUsedBlocks);
+}
+
+TEST(RecoveryTest, PrePhaseGrowthReplaysBeforeLaterExpiry)
+{
+    runPrePhaseOrdering(/*c_deadline=*/1, /*expires=*/true);
+}
+
+TEST(RecoveryTest, PrePhaseGrowthReplaysBeforeLaterPreemption)
+{
+    runPrePhaseOrdering(/*c_deadline=*/4, /*expires=*/false);
 }
 
 // ----------------------------------------------------------------
