@@ -82,6 +82,12 @@ SPECINFER_BENCH_TOKENS=8 \
 # supervisor_* metric catalog.
 ./scripts/supervisor_smoke.sh
 
+# Crash/recover smoke: the README's spec_infer recipe. A run dies at
+# iteration 20, a --recover run finishes it, and the union of both
+# runs' result lines must equal an uninterrupted run's. Prints the
+# snapshot size at the crash.
+./scripts/crash_recover_smoke.sh
+
 # Serving benchmark smoke: every BENCHMARK.json workload tiny in
 # both modes plus the oracle's negative control (builds its own
 # Release tree in .bench_build/).

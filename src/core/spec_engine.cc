@@ -282,7 +282,6 @@ SpecSession::adoptPrefix(const std::vector<uint64_t> &full_hashes,
         adopted += prefixStore_->adoptInto(partial_hash, rows,
                                            &llmCache_);
     }
-    publishedBlocks_ = llmCache_.length() / bt;
     if (adopted > 0 && engine_->obs_ != nullptr)
         engine_->obs_->metrics()
             .counter("engine_prefill_skipped_tokens")
@@ -295,14 +294,15 @@ SpecSession::publishPromptBlocks()
 {
     if (prefixStore_ == nullptr)
         return;
+    // Every resident block, not only the newly resident ones: a
+    // block matched after this session passed it still gets its
+    // rows, so the filled blocks stay a prefix-closed set that
+    // recovery rebuilds from the declared ones (fill skips the rest).
     const size_t bt = prefixStore_->blockTokens();
     const size_t resident =
         std::min(llmCache_.length(), promptLen_) / bt;
-    for (size_t k = publishedBlocks_;
-         k < resident && k < promptHashes_.size(); ++k)
+    for (size_t k = 0; k < resident; ++k)
         prefixStore_->fill(promptHashes_[k], llmCache_, k * bt);
-    publishedBlocks_ = std::max(
-        publishedBlocks_, std::min(resident, promptHashes_.size()));
 }
 
 std::vector<int>
@@ -315,10 +315,10 @@ SpecSession::generated() const
 
 namespace {
 
-// Session snapshot framing (version 1). RngState is written field
-// by field (never as a raw struct) so padding bytes can't leak into
-// the format.
-constexpr uint32_t kSessionVersion = 1;
+// Session snapshot framing (version 2): decisions and cache
+// lengths, never KV rows. RngState is written field by field (never
+// as a raw struct) so padding bytes can't leak into the format.
+constexpr uint32_t kSessionVersion = 2;
 
 void
 writeRngState(std::ostream &out, const util::RngState &state)
@@ -339,6 +339,8 @@ readRngState(std::istream &in)
     state.cachedNormal = model::io::readPod<double>(in);
     return state;
 }
+
+} // namespace
 
 void
 writeStepRecord(std::ostream &out, const StepRecord &record)
@@ -364,8 +366,6 @@ readStepRecord(std::istream &in)
     return record;
 }
 
-} // namespace
-
 void
 SpecSession::save(std::ostream &out) const
 {
@@ -381,10 +381,12 @@ SpecSession::save(std::ostream &out) const
     writePod<uint64_t>(out, stats_.steps.size());
     for (const StepRecord &record : stats_.steps)
         writeStepRecord(out, record);
-    model::saveKvCache(out, llmCache_);
+    // KV rows are a pure function of the tokens (chunk-layout
+    // invariance): loadSession() re-derives them from the lengths.
+    writePod<uint64_t>(out, llmCache_.length());
     writePod<uint64_t>(out, ssmCaches_.size());
     for (const model::KvCache &cache : ssmCaches_)
-        model::saveKvCache(out, cache);
+        writePod<uint64_t>(out, cache.length());
     SPECINFER_CHECK(out.good(), "session write failed");
 }
 
@@ -396,6 +398,8 @@ SpecSession::restoreStep(const std::vector<int> &tokens,
                          StopReason stop_reason)
 {
     SPECINFER_CHECK(!done_, "restoreStep on a finished session");
+    const size_t verified = seq_.size();
+    const size_t cached = llmCache_.length();
     seq_.insert(seq_.end(), tokens.begin(), tokens.end());
     logProbs_.insert(logProbs_.end(), log_probs.begin(),
                      log_probs.end());
@@ -403,20 +407,35 @@ SpecSession::restoreStep(const std::vector<int> &tokens,
     rng_.setState(rng_after);
     done_ = done;
     stopReason_ = stop_reason;
+    // Where advance() left the caches: a prefill chunk absorbed
+    // llmChunkTokens rows, a decode step leaves at most the new root
+    // uncached, a step whose speculator ran truncated every SSM
+    // cache to the sequence before it, and one that skipped it left
+    // the SSM caches alone.
+    hydrateKv(record.prefill ? cached + record.llmChunkTokens
+                             : seq_.size() - 1,
+              record.ssmTokensDecoded > 0 ? verified : 0);
 }
 
 void
-SpecSession::hydrateKv(size_t target_len)
+SpecSession::hydrateKv(size_t llm_target, size_t ssm_target)
 {
-    SPECINFER_CHECK(target_len <= seq_.size(),
-                    "hydration target beyond the sequence");
-    if (target_len <= llmCache_.length())
-        return;
-    std::vector<int> part(
-        seq_.begin() + static_cast<ptrdiff_t>(llmCache_.length()),
-        seq_.begin() + static_cast<ptrdiff_t>(target_len));
-    engine_->llm_->forward(model::DecodeChunk::sequence(part),
-                           llmCache_);
+    auto hydrate = [this](const model::Transformer &model,
+                          model::KvCache &cache, size_t target) {
+        SPECINFER_CHECK(target <= seq_.size() &&
+                            target <= cache.capacity(),
+                        "hydration target beyond the sequence");
+        if (target <= cache.length())
+            return;
+        std::vector<int> part(
+            seq_.begin() + static_cast<ptrdiff_t>(cache.length()),
+            seq_.begin() + static_cast<ptrdiff_t>(target));
+        model.forward(model::DecodeChunk::sequence(part), cache);
+    };
+    hydrate(*engine_->llm_, llmCache_, llm_target);
+    for (size_t s = 0; s < ssmCaches_.size(); ++s)
+        hydrate(engine_->speculator_->ssm(s), ssmCaches_[s],
+                ssm_target);
     publishPromptBlocks();
 }
 
@@ -455,26 +474,17 @@ SpecEngine::loadSession(std::istream &in, uint64_t track) const
     for (uint64_t i = 0; i < n_steps; ++i)
         session.stats_.steps.push_back(readStepRecord(in));
 
-    model::KvCache llm_cache = model::loadKvCache(in);
-    SPECINFER_CHECK(llm_cache.layers() == llm_->config().nLayers &&
-                    llm_cache.kvDim() == session.llmCache_.kvDim() &&
-                    llm_cache.capacity() == cacheCapacity_,
-                    "session KV cache does not match this engine");
-    session.llmCache_ = std::move(llm_cache);
-
-    uint64_t n_ssm = readPod<uint64_t>(in);
-    SPECINFER_CHECK(n_ssm == session.ssmCaches_.size(),
-                    "session SSM cache count does not match engine");
-    for (uint64_t i = 0; i < n_ssm; ++i) {
-        model::KvCache cache = model::loadKvCache(in);
-        SPECINFER_CHECK(
-            cache.layers() == session.ssmCaches_[i].layers() &&
-                cache.kvDim() == session.ssmCaches_[i].kvDim() &&
-                cache.capacity() ==
-                    session.ssmCaches_[i].capacity(),
-            "session SSM cache does not match this engine");
-        session.ssmCaches_[i] = std::move(cache);
-    }
+    const uint64_t llm_len = readPod<uint64_t>(in);
+    const std::vector<uint64_t> ssm_lens =
+        model::io::readPodVector<uint64_t>(in);
+    // speculate() leaves every SSM cache at one verified prefix.
+    const uint64_t ssm_len = ssm_lens.empty() ? 0 : ssm_lens[0];
+    SPECINFER_CHECK(ssm_lens.size() == session.ssmCaches_.size() &&
+                        std::count(ssm_lens.begin(), ssm_lens.end(),
+                                   ssm_len) ==
+                            static_cast<ptrdiff_t>(ssm_lens.size()),
+                    "session SSM caches do not match this engine");
+    session.hydrateKv(llm_len, ssm_len);
     return session;
 }
 

@@ -101,7 +101,14 @@ struct StepRecord
      *  step to plain incremental decoding (util::FaultPoint::SsmStep
      *  or Verify); the step still emits at least one token. */
     bool fallback = false;
+
+    bool operator==(const StepRecord &) const = default;
 };
+
+/** Stream codec of one StepRecord, shared by the session and the
+ *  serving snapshot. */
+void writeStepRecord(std::ostream &out, const StepRecord &record);
+StepRecord readStepRecord(std::istream &in);
 
 /** Accumulated per-request speculation statistics. */
 struct SpecStats
@@ -170,7 +177,7 @@ class SpecSession
 
     /**
      * Emit what the last advance() held back: its engine spans to
-     * the tracer, and newly resident prompt blocks to the prefix
+     * the tracer, and resident prompt blocks to the prefix
      * store. Not thread-safe; the serving runtime calls it serially
      * in batch order, so the trace and the store fill order do not
      * depend on which session finished computing first.
@@ -211,10 +218,11 @@ class SpecSession
     const std::vector<float> &logProbs() const { return logProbs_; }
 
     /**
-     * Serialize the full decoding state (sequence, log-probs, RNG,
-     * stats, stop state, LLM + SSM KV caches) so a serving snapshot
-     * can reconstruct the session bit-exactly via
-     * SpecEngine::loadSession().
+     * Serialize the decoding decisions (sequence, log-probs, RNG,
+     * stats, stop state) and the length of each KV cache, so a
+     * serving snapshot can reconstruct the session bit-exactly via
+     * SpecEngine::loadSession(). No KV rows are written: the loader
+     * re-derives them with hydrateKv().
      */
     void save(std::ostream &out) const;
 
@@ -251,13 +259,8 @@ class SpecSession
     /**
      * Re-apply one journaled step without recomputing it: append the
      * step's verified tokens and log-probs, record its StepRecord,
-     * and jump the RNG to the journaled post-step cursor.
-     *
-     * KV caches are intentionally left behind: step() already
-     * decodes any verified-but-uncached tokens as catch-up in its
-     * next chunk (the chunked-prefill machinery), and chunk layout
-     * does not affect outputs, so the caches rebuild lazily and the
-     * token stream stays bit-identical.
+     * jump the RNG to the journaled post-step cursor, and hydrate
+     * every cache to the level the live step left it at.
      */
     void restoreStep(const std::vector<int> &tokens,
                      const std::vector<float> &log_probs,
@@ -270,22 +273,17 @@ class SpecSession
     size_t cachedTokens() const { return llmCache_.length(); }
 
     /**
-     * Redo-recovery companion to restoreStep(): recompute LLM KV
-     * rows for seq_[cachedTokens(), target_len) with plain
-     * sequential forwards (bit-identical to what the crashed
-     * process held — chunk layout never affects values), and
-     * republish any prompt blocks that become resident.
-     *
-     * restoreStep() alone leaves the cache behind and relies on
-     * step()'s lazy catch-up — output-invariant, but the catch-up
-     * repeats prefill *iterations*, which wall-clock deadlines can
-     * observe. Replay calls this after each restored record to keep
-     * the cache at exactly the live run's level, so a recovered
-     * session spends the same number of iterations per token as an
-     * uninterrupted one. No-op when target_len is already resident;
-     * consumes no session RNG and records no step.
+     * Bring the LLM cache to `llm_target` rows and every SSM cache to
+     * `ssm_target` rows with one plain sequence forward each over the
+     * missing tokens — bit-identical to the rows the live run held,
+     * since chunk layout never affects values — and republish newly
+     * resident prompt blocks. Caches already that long are left as
+     * they are. Snapshot load and journal replay both rebuild rows
+     * only through here, so a recovered session neither repeats
+     * prefill iterations (which wall-clock deadlines observe) nor
+     * re-decodes its SSM prefix. Consumes no RNG, records no step.
      */
-    void hydrateKv(size_t target_len);
+    void hydrateKv(size_t llm_target, size_t ssm_target);
 
   private:
     friend class SpecEngine;
@@ -297,8 +295,8 @@ class SpecSession
      *  the stop state; returns the (possibly shortened) list. */
     std::vector<int> applyStopSequences(std::vector<int> appended);
 
-    /** Capture newly resident full prompt blocks into the prefix
-     *  store (no-op for blocks the allocator never declared). */
+    /** Capture resident full prompt blocks into the prefix store
+     *  (no-op for filled blocks and ones no admission declared). */
     void publishPromptBlocks();
 
     const SpecEngine *engine_;
@@ -322,8 +320,6 @@ class SpecSession
     model::PrefixKvStore *prefixStore_ = nullptr;
     /** Chained hashes of this prompt's full blocks. */
     std::vector<uint64_t> promptHashes_;
-    /** Prompt blocks already captured into the store. */
-    size_t publishedBlocks_ = 0;
     /** Engine trace events of the last advance(), awaiting
      *  publishStep(). */
     std::vector<obs::TraceEvent> pendingTrace_;
@@ -369,11 +365,13 @@ class SpecEngine
                               size_t max_new_tokens = 0) const;
 
     /**
-     * Reconstruct a session saved with SpecSession::save(). The
-     * engine must be configured identically to the saving engine
-     * (model dims and tree budget are validated; sampling/seed
-     * configuration is the caller's responsibility — the serving
-     * snapshot carries the engine identity implicitly).
+     * Reconstruct a session saved with SpecSession::save(), then
+     * re-derive its KV rows to the recorded lengths with
+     * SpecSession::hydrateKv(). The engine must be configured
+     * identically to the saving engine: the SSM count and every
+     * cache length are validated, while model identity and
+     * sampling/seed configuration are the caller's responsibility
+     * (the serving snapshot carries the engine identity implicitly).
      *
      * @param track The request id the session was made with: its
      *        trace track and the key of its step faults.

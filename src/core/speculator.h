@@ -101,6 +101,7 @@ class Speculator
                SpeculatorConfig cfg);
 
     size_t ssmCount() const { return ssms_.size(); }
+    const model::Transformer &ssm(size_t i) const { return *ssms_[i]; }
     const SpeculatorConfig &config() const { return cfg_; }
 
     /** Create per-request SSM caches (one per pool member). */

@@ -110,8 +110,11 @@ Daemon::start()
             manager_->recover(snap_in.good() ? &snap_in : nullptr,
                               &journal_in);
         }
-        // Fresh journal epoch: snapshot the recovered (or empty)
-        // state, truncate, and append from zero.
+        // Fresh journal epoch: truncate the journal, then snapshot
+        // the recovered (or empty) state at offset 0 below. A crash
+        // in between loses the old journal's tail; the reverse
+        // order would replay the old journal on top of a snapshot
+        // that already holds it (DESIGN.md §5d).
         journalOut_.open(cfg_.journalPath,
                          std::ios::binary | std::ios::trunc);
         if (!journalOut_.good())

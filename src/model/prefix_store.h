@@ -7,11 +7,11 @@
  * snapshots and journal replay); this store holds the actual post-RoPE
  * key/value rows for those blocks so a later request can adopt them
  * instead of re-running prefill. The split matters for crash safety:
- * the store is deliberately *not* persisted — after recovery it starts
- * cold, adoption finds no payload, and prefill simply recomputes the
- * rows. Chunk-layout invariance (DESIGN.md §5c) guarantees the
- * recomputed rows are bitwise identical, so a cold store is a
- * performance regression, never a token-affecting one.
+ * the rows are never persisted — a serving snapshot records only
+ * which blocks are declared and filled, and recovery recomputes the
+ * filled rows from the block chain's tokens. Chunk-layout invariance
+ * (DESIGN.md §5f) guarantees the recomputed rows are bitwise
+ * identical, and a missing payload costs a prefill, never a token.
  *
  * Lifecycle of a block: declare() when an admission matches its hash
  * (a block nobody reuses never holds rows), fill() once some session

@@ -15,9 +15,6 @@ namespace {
 constexpr char kMagic[4] = {'S', 'P', 'I', 'N'};
 constexpr uint32_t kVersion = 2;
 
-constexpr char kKvMagic[4] = {'S', 'P', 'K', 'V'};
-constexpr uint32_t kKvVersion = 1;
-
 using io::readPod;
 using io::writePod;
 
@@ -260,68 +257,6 @@ loadModelFile(const std::string &path)
     if (!in)
         SPECINFER_FATAL("cannot open '" << path << "' for reading");
     return loadModel(in);
-}
-
-void
-saveKvCache(std::ostream &out, const KvCache &cache)
-{
-    out.write(kKvMagic, 4);
-    writePod<uint32_t>(out, kKvVersion);
-    writePod<uint64_t>(out, cache.layers());
-    writePod<uint64_t>(out, cache.kvDim());
-    writePod<uint64_t>(out, cache.capacity());
-    writePod<uint64_t>(out, cache.length());
-    const std::streamsize row_bytes =
-        static_cast<std::streamsize>(cache.kvDim() * sizeof(float));
-    for (size_t layer = 0; layer < cache.layers(); ++layer) {
-        for (size_t pos = 0; pos < cache.length(); ++pos)
-            out.write(reinterpret_cast<const char *>(
-                          cache.keyRow(layer, pos)),
-                      row_bytes);
-        for (size_t pos = 0; pos < cache.length(); ++pos)
-            out.write(reinterpret_cast<const char *>(
-                          cache.valueRow(layer, pos)),
-                      row_bytes);
-    }
-    SPECINFER_CHECK(out.good(), "KV cache write failed");
-}
-
-KvCache
-loadKvCache(std::istream &in)
-{
-    char magic[4];
-    in.read(magic, 4);
-    SPECINFER_CHECK(in.good() &&
-                    std::memcmp(magic, kKvMagic, 4) == 0,
-                    "not a SpecInfer KV cache stream");
-    uint32_t version = readPod<uint32_t>(in);
-    SPECINFER_CHECK(version == kKvVersion,
-                    "unsupported KV cache version " << version);
-    uint64_t layers = readPod<uint64_t>(in);
-    uint64_t kv_dim = readPod<uint64_t>(in);
-    uint64_t capacity = readPod<uint64_t>(in);
-    uint64_t length = readPod<uint64_t>(in);
-    SPECINFER_CHECK(layers > 0 && kv_dim > 0 && capacity > 0,
-                    "degenerate KV cache header");
-    SPECINFER_CHECK(length <= capacity,
-                    "KV cache length exceeds capacity");
-    SPECINFER_CHECK(layers * capacity * kv_dim < (1ull << 32),
-                    "implausible KV cache size");
-    KvCache cache(layers, kv_dim, capacity);
-    cache.allocate(length);
-    const std::streamsize row_bytes =
-        static_cast<std::streamsize>(kv_dim * sizeof(float));
-    for (size_t layer = 0; layer < layers; ++layer) {
-        for (size_t pos = 0; pos < length; ++pos)
-            in.read(reinterpret_cast<char *>(cache.keyRow(layer, pos)),
-                    row_bytes);
-        for (size_t pos = 0; pos < length; ++pos)
-            in.read(reinterpret_cast<char *>(
-                        cache.valueRow(layer, pos)),
-                    row_bytes);
-    }
-    SPECINFER_CHECK(in.good(), "truncated KV cache stream");
-    return cache;
 }
 
 } // namespace model

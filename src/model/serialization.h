@@ -1,22 +1,16 @@
 /**
  * @file
- * Binary serialization of model configurations, weights, and live
- * KV-cache state, so calibrated model pairs can be stored and
- * reloaded instead of regenerated (and, in a deployment, so real
- * checkpoints could be imported) — and so a serving snapshot can
- * capture a session's exact decoding state for crash recovery.
+ * Binary serialization of model configurations and weights, so
+ * calibrated model pairs can be stored and reloaded instead of
+ * regenerated (and, in a deployment, so real checkpoints could be
+ * imported), plus the POD stream helpers the serving snapshot and
+ * journal are written with.
  *
  * Model format (little-endian, version 1):
  *   magic "SPIN", u32 version,
  *   config fields (u64/f32 in declaration order, name length-prefixed),
  *   embedding, per-layer tensors, final norm, lm head — each tensor
  *   as u64 rows, u64 cols, rows*cols f32.
- *
- * KV-cache format (version 1):
- *   magic "SPKV", u32 version, u64 layers/kvDim/capacity/length,
- *   then per layer: length key rows followed by length value rows,
- *   each kvDim f32. Only occupied rows are written; restore is
- *   byte-identical (tested by the recovery oracle).
  */
 
 #ifndef SPECINFER_MODEL_SERIALIZATION_H
@@ -32,7 +26,6 @@
 #include <vector>
 
 #include "model/config.h"
-#include "model/kv_cache.h"
 #include "model/transformer.h"
 #include "model/weights.h"
 #include "util/logging.h"
@@ -114,13 +107,6 @@ Transformer loadModel(std::istream &in);
 /** Convenience: file-path variants. Fatal on I/O errors. */
 void saveModelFile(const std::string &path, const Transformer &model);
 Transformer loadModelFile(const std::string &path);
-
-/** Serialize a live KV cache (occupied rows only). */
-void saveKvCache(std::ostream &out, const KvCache &cache);
-
-/** Load a KV cache previously written by saveKvCache(); the result
- *  is byte-identical to the saved cache (keys, values, length). */
-KvCache loadKvCache(std::istream &in);
 
 } // namespace model
 } // namespace specinfer

@@ -273,7 +273,14 @@ KvBlockAllocator::matchPrefix(const std::vector<int> &prompt) const
             while (common < avail &&
                    blk->second.tokens[common] == rest[common])
                 ++common;
-            if (common > match.partialTokens) {
+            // Ties go to the smallest hash: children_ iterates in
+            // insertion order, which a snapshot restore does not
+            // keep, and the choice must be a pure function of the
+            // resident set for recovery to adopt what the live run
+            // would have.
+            if (common > match.partialTokens ||
+                (common > 0 && common == match.partialTokens &&
+                 blk->first < match.partialHash)) {
                 match.partialTokens = common;
                 match.partialHash = blk->first;
             }

@@ -11,6 +11,7 @@
 #include "model/serialization.h"
 #include "obs/obs.h"
 #include "util/fault.h"
+#include "util/hash.h"
 #include "util/logging.h"
 #include "util/threadpool.h"
 
@@ -19,9 +20,10 @@ namespace runtime {
 
 namespace {
 
-// Serving-snapshot framing (version 1). The snapshot is the bulky
-// half of crash safety: full sessions (KV caches included) plus
-// scheduler bookkeeping; the journal holds only per-event records.
+// Serving-snapshot framing (version 1). The snapshot holds the
+// sessions' decisions (tokens, RNG cursors, step records, cache
+// lengths) plus scheduler bookkeeping; the journal holds only
+// per-event records.
 constexpr char kSnapMagic[4] = {'S', 'P', 'S', 'N'};
 // v2: resident shared-block intern table + per-request shared
 // holdings (prefix sharing).
@@ -37,7 +39,9 @@ constexpr char kSnapMagic[4] = {'S', 'P', 'S', 'N'};
 // under the same sharded execution shape the crashed process ran
 // (logits are bit-identical across TP degrees, but recovery is
 // defined as reproducing the crashed process exactly).
-constexpr uint32_t kSnapVersion = 7;
+// v8: sessions carry cache lengths instead of KV rows (session v2);
+// recovery re-derives the rows.
+constexpr uint32_t kSnapVersion = 8;
 
 using model::io::readPod;
 using model::io::readPodVector;
@@ -85,37 +89,13 @@ readRequest(std::istream &in)
 }
 
 void
-writeStepRecord(std::ostream &out, const core::StepRecord &s)
-{
-    writePod<uint64_t>(out, s.treeSize);
-    writePod<uint64_t>(out, s.verifiedTokens);
-    writePod<uint64_t>(out, s.llmChunkTokens);
-    writePod<uint64_t>(out, s.ssmTokensDecoded);
-    writePod<uint8_t>(out, s.prefill ? 1 : 0);
-    writePod<uint8_t>(out, s.fallback ? 1 : 0);
-}
-
-core::StepRecord
-readStepRecord(std::istream &in)
-{
-    core::StepRecord s;
-    s.treeSize = readPod<uint64_t>(in);
-    s.verifiedTokens = readPod<uint64_t>(in);
-    s.llmChunkTokens = readPod<uint64_t>(in);
-    s.ssmTokensDecoded = readPod<uint64_t>(in);
-    s.prefill = readPod<uint8_t>(in) != 0;
-    s.fallback = readPod<uint8_t>(in) != 0;
-    return s;
-}
-
-void
 writeResult(std::ostream &out, const RequestResult &res)
 {
     writePod<uint64_t>(out, res.id);
     writePodVector<int>(out, res.tokens);
     writePod<uint64_t>(out, res.stats.steps.size());
     for (const core::StepRecord &s : res.stats.steps)
-        writeStepRecord(out, s);
+        core::writeStepRecord(out, s);
     writePod<uint8_t>(out, static_cast<uint8_t>(res.stopReason));
     writePod<uint64_t>(out, res.arrivalIteration);
     writePod<uint64_t>(out, res.startIteration);
@@ -166,7 +146,7 @@ readResult(std::istream &in)
                     "implausible snapshot step count");
     res.stats.steps.reserve(n_steps);
     for (uint64_t i = 0; i < n_steps; ++i)
-        res.stats.steps.push_back(readStepRecord(in));
+        res.stats.steps.push_back(core::readStepRecord(in));
     res.stopReason = static_cast<core::SpecSession::StopReason>(
         readPod<uint8_t>(in));
     res.arrivalIteration = readPod<uint64_t>(in);
@@ -175,6 +155,55 @@ readResult(std::istream &in)
     res.preemptions = readPod<uint64_t>(in);
     res.priority = readPriority(in);
     return res;
+}
+
+/**
+ * Re-derive the payload rows of the snapshot's `filled` prefix blocks
+ * (already declared in `store`): hydrate a scratch session over each
+ * block's chain tokens, whose publish fills every declared block on
+ * the chain. That is exact because filled blocks form prefix-closed
+ * chains (a session fills every declared block it holds, and a
+ * declaration covers a whole matched chain), and a valid snapshot
+ * never holds a block without its ancestors (eviction is deepest
+ * first and a holder references whole chains). Deepest first, so one
+ * forward fills each chain.
+ */
+void
+refillPrefixStore(const core::SpecEngine &engine,
+                  const KvBlockAllocator &pool,
+                  std::vector<uint64_t> filled,
+                  model::PrefixKvStore &store)
+{
+    auto block = [&pool](uint64_t hash)
+        -> const KvBlockAllocator::SharedBlock & {
+        auto it = pool.sharedTable().find(hash);
+        SPECINFER_CHECK(it != pool.sharedTable().end(),
+                        "snapshot prefix chain misses a block");
+        return it->second;
+    };
+    std::sort(filled.begin(), filled.end(),
+              [&block](uint64_t a, uint64_t b) {
+                  return block(a).depth > block(b).depth;
+              });
+    for (uint64_t hash : filled) {
+        if (store.filled(hash))
+            continue;
+        std::vector<int> tokens;
+        size_t blocks = 0;
+        for (uint64_t h = hash; h != util::kHashChainSeed;
+             h = block(h).parent) {
+            SPECINFER_CHECK(blocks++ <= block(hash).depth,
+                            "corrupt snapshot prefix chain");
+            tokens.insert(tokens.begin(), block(h).tokens.begin(),
+                          block(h).tokens.end());
+        }
+        core::SpecSession session = engine.makeSession(tokens);
+        session.enablePrefixSharing(&store);
+        session.hydrateKv(tokens.size(), 0);
+        SPECINFER_CHECK(store.filled(hash),
+                        "snapshot prefix chain does not hash to its "
+                        "block");
+    }
 }
 
 } // namespace
@@ -1339,6 +1368,14 @@ RequestManager::writeSnapshot(std::ostream &out) const
             writePod<uint64_t>(out, entry.second.parent);
             writePod<uint64_t>(out, entry.second.depth);
             writePodVector<int>(out, entry.second.tokens);
+            // Payload-store state (0 absent, 1 declared, 2 filled):
+            // recovery re-derives the filled rows, so adoption after
+            // a crash takes exactly what the live store offered.
+            writePod<uint8_t>(
+                out, !prefixStore_ || !prefixStore_->contains(entry.first)
+                         ? 0
+                     : prefixStore_->filled(entry.first) ? 2
+                                                         : 1);
         }
     } else {
         writePod<uint64_t>(out, 0);
@@ -1435,7 +1472,7 @@ RequestManager::applyRecord(const JournalRecord &rec)
         // from its warm store; replayed admission adopts none, so
         // recompute up to the journaled adoption level — identical
         // rows, identical remaining prefill iterations.
-        admit(takePending(j)).session.hydrateKv(rec.adoptedTokens);
+        admit(takePending(j)).session.hydrateKv(rec.adoptedTokens, 0);
         break;
       }
 
@@ -1452,20 +1489,6 @@ RequestManager::applyRecord(const JournalRecord &rec)
             rec.sessionDone,
             static_cast<core::SpecSession::StopReason>(
                 rec.stopReason));
-        // Redo-recovery: bring the KV cache to the level the live
-        // run held after this step, so the session does not repeat
-        // prefill iterations after recovery (wall-clock deadlines
-        // would observe the delay). A prefill chunk re-absorbs the
-        // same chunk; a decode step leaves exactly the last token
-        // uncached (the next step's tree root).
-        if (!rec.sessionDone) {
-            if (rec.step.prefill)
-                ar.session.hydrateKv(ar.session.cachedTokens() +
-                                     rec.step.llmChunkTokens);
-            else
-                ar.session.hydrateKv(ar.session.sequence().size() -
-                                     1);
-        }
         ar.steppedThisIteration = true;
         noteStep(rec.step);
         break;
@@ -1649,16 +1672,26 @@ RequestManager::recover(std::istream *snapshot, std::istream *journal)
         SPECINFER_CHECK(n_shared == 0 || kvPool_ != nullptr,
                         "snapshot has shared blocks but this "
                         "manager has no KV pool");
+        std::vector<uint64_t> filled;
         for (uint64_t i = 0; i < n_shared; ++i) {
             uint64_t hash = readPod<uint64_t>(*snapshot);
             uint64_t parent = readPod<uint64_t>(*snapshot);
             uint64_t depth = readPod<uint64_t>(*snapshot);
             std::vector<int> tokens = readPodVector<int>(*snapshot);
-            // Payload rows are not persisted: the block is declared
-            // again when an admission matches it.
+            const uint8_t stored = readPod<uint8_t>(*snapshot);
+            SPECINFER_CHECK(stored <= 2 &&
+                                (stored == 0 || prefixStore_),
+                            "corrupt snapshot prefix-store state");
             kvPool_->restoreSharedBlock(hash, parent, depth,
                                         std::move(tokens));
+            if (stored > 0)
+                prefixStore_->declare(hash);
+            if (stored == 2)
+                filled.push_back(hash);
         }
+        if (!filled.empty())
+            refillPrefixStore(*engine_, *kvPool_, filled,
+                              *prefixStore_);
 
         uint64_t n_active = readPod<uint64_t>(*snapshot);
         SPECINFER_CHECK(n_active < (1ull << 20),

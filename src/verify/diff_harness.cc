@@ -1035,6 +1035,26 @@ runRecoveryTrial(uint64_t seed, bool verbose)
                          " stop reason diverged after recovery";
             return out;
         }
+        // Cost records too: recovery rebuilds every cache to the
+        // live run's level, so no step re-decodes or adopts more or
+        // less than the uninterrupted run did.
+        const std::vector<core::StepRecord> &got = res.stats.steps;
+        const std::vector<core::StepRecord> &want =
+            ref->second->stats.steps;
+        if (got != want) {
+            const auto i = std::mismatch(got.begin(), got.end(),
+                                         want.begin(), want.end())
+                               .first -
+                           got.begin();
+            out.ok = false;
+            out.detail = "request " + std::to_string(res.id) +
+                         " step record " + std::to_string(i) +
+                         " diverged after recovery (" +
+                         std::to_string(want.size()) +
+                         " steps at baseline, " +
+                         std::to_string(got.size()) + " recovered)";
+            return out;
+        }
         if (verbose)
             out.configLine += "\n  id=" + std::to_string(res.id) +
                               ": " + joinTokens(res.tokens);

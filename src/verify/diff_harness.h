@@ -91,9 +91,10 @@ TrialOutcome runKvRoundTripTrial(uint64_t seed);
  * completion; some trials crash and recover twice.
  *
  * Passes when every request's final output is token-for-token
- * identical between the two runs, stop reasons agree, no request is
- * lost or duplicated, and the KV pool ends empty with zero
- * redundant releases.
+ * identical between the two runs, stop reasons and per-step cost
+ * records (core::StepRecord) agree, no request is lost or
+ * duplicated, and the KV pool ends empty with zero redundant
+ * releases.
  */
 TrialOutcome runRecoveryTrial(uint64_t seed, bool verbose = false);
 

@@ -89,73 +89,6 @@ TEST(SerializationTest, Int8SsmRoundTripPreservesLogitsBitwise)
         ASSERT_EQ(la.data()[i], lb.data()[i]);
 }
 
-TEST(SerializationTest, KvCacheRoundTripIsBitwise)
-{
-    // The serving snapshot persists live KV rows; a restored cache
-    // must be indistinguishable from the original — same occupied
-    // rows bit-for-bit, and identical logits when decoding resumes
-    // on top of it.
-    Transformer llm = tinyLlm(31);
-    KvCache original = llm.makeCache();
-    llm.forward(DecodeChunk::sequence({4, 8, 15, 16, 23, 42}),
-                original);
-
-    std::stringstream buf;
-    saveKvCache(buf, original);
-    KvCache restored = loadKvCache(buf);
-
-    ASSERT_EQ(restored.layers(), original.layers());
-    ASSERT_EQ(restored.kvDim(), original.kvDim());
-    ASSERT_EQ(restored.capacity(), original.capacity());
-    ASSERT_EQ(restored.length(), original.length());
-    for (size_t l = 0; l < original.layers(); ++l)
-        for (size_t s = 0; s < original.length(); ++s)
-            for (size_t d = 0; d < original.kvDim(); ++d) {
-                ASSERT_EQ(restored.keyRow(l, s)[d],
-                          original.keyRow(l, s)[d]);
-                ASSERT_EQ(restored.valueRow(l, s)[d],
-                          original.valueRow(l, s)[d]);
-            }
-
-    tensor::Tensor la =
-        llm.forward(DecodeChunk::sequence({7}), original);
-    tensor::Tensor lb =
-        llm.forward(DecodeChunk::sequence({7}), restored);
-    ASSERT_EQ(la.size(), lb.size());
-    for (size_t i = 0; i < la.size(); ++i)
-        ASSERT_EQ(la.data()[i], lb.data()[i]);
-}
-
-TEST(SerializationTest, EmptyKvCacheRoundTrips)
-{
-    KvCache empty(2, 8, 32);
-    std::stringstream buf;
-    saveKvCache(buf, empty);
-    KvCache restored = loadKvCache(buf);
-    EXPECT_EQ(restored.length(), 0u);
-    EXPECT_EQ(restored.capacity(), 32u);
-    EXPECT_EQ(restored.layers(), 2u);
-}
-
-TEST(SerializationDeathTest, RejectsKvGarbage)
-{
-    std::stringstream buf;
-    buf << "KV but not really anything";
-    EXPECT_DEATH(loadKvCache(buf), "KV");
-}
-
-TEST(SerializationDeathTest, RejectsKvTruncation)
-{
-    Transformer llm = tinyLlm(32);
-    KvCache cache = llm.makeCache();
-    llm.forward(DecodeChunk::sequence({1, 2, 3}), cache);
-    std::stringstream buf;
-    saveKvCache(buf, cache);
-    std::string data = buf.str();
-    std::stringstream cut(data.substr(0, data.size() / 2));
-    EXPECT_DEATH(loadKvCache(cut), "truncated");
-}
-
 TEST(SerializationTest, PodVectorSpanningChunksRoundTrips)
 {
     // 300k ints cross the reader's 1 MiB growth step.

@@ -146,6 +146,17 @@ TEST(PrefixSharingTest, PayloadsOnlyForMatchedBlocks)
     EXPECT_EQ(store->filledCount(), 2u);
     EXPECT_EQ(mgr.kvPool()->stats().redundantReleases, 0u);
 
+    // Snapshots carry no rows: recovery re-derives both payloads
+    // from the shared blocks' tokens.
+    std::stringstream snapshot;
+    mgr.writeSnapshot(snapshot);
+    RequestManager restored(&f.engine, cfg);
+    restored.recover(&snapshot, nullptr);
+    EXPECT_EQ(restored.prefixStore()->filledCount(), 2u);
+    std::stringstream again;
+    restored.writeSnapshot(again);
+    EXPECT_TRUE(again.str() == snapshot.str());
+
     // A repeat of the first prompt matches its suffix block too.
     ASSERT_TRUE(mgr.submit(promptFor(0)).accepted());
     mgr.runUntilDrained();

@@ -5,12 +5,15 @@
  *  - Session snapshot fidelity: a SpecSession saved mid-generation
  *    and reloaded continues bit-identically to the original.
  *  - Deterministic snapshot+journal recovery at a clean iteration
- *    boundary (with and without a snapshot).
+ *    boundary (with and without a snapshot): the recovered
+ *    manager's snapshot equals the live one's, and a snapshot holds
+ *    no KV rows (smaller than one copy of the sessions' K rows).
  *  - The randomized recovery-equivalence oracle
  *    (verify::runRecoveryTrial): seeded workloads crashed at a
  *    random point inside runIteration() — including mid-append,
  *    leaving a torn journal record — must recover to outputs
- *    token-for-token identical to an uninterrupted run. Override
+ *    token-for-token identical to an uninterrupted run, with equal
+ *    per-step cost records. Override
  *    the count with SPECINFER_RECOVERY_TRIALS=<n> and the base seed
  *    with SPECINFER_RECOVERY_SEED=<n>.
  *  - One stats/degradation codec: a snapshot survives a recover
@@ -145,6 +148,28 @@ finishedMap(const RequestManager &manager)
     return out;
 }
 
+/**
+ * Recovery reproduces the live state exactly, every cache level and
+ * prefix-store payload included: the recovered manager's snapshot is
+ * the live one byte for byte but for the journal offset (a recovered
+ * manager starts a new journal epoch at 0).
+ */
+void
+expectSameSnapshot(const RequestManager &recovered,
+                   const std::string &live_snapshot)
+{
+    std::stringstream out;
+    recovered.writeSnapshot(out);
+    std::string got = out.str();
+    constexpr size_t kJournalOffsetAt = 8; // after magic + version
+    ASSERT_EQ(got.size(), live_snapshot.size());
+    got.replace(kJournalOffsetAt, sizeof(uint64_t),
+                live_snapshot.substr(kJournalOffsetAt,
+                                     sizeof(uint64_t)));
+    EXPECT_TRUE(got == live_snapshot)
+        << "recovered snapshot differs from the live one";
+}
+
 void
 runBoundaryRecovery(bool with_snapshot)
 {
@@ -165,9 +190,21 @@ runBoundaryRecovery(bool with_snapshot)
 
     // Capture the persistent state as of this boundary...
     std::stringstream snapshot;
-    if (with_snapshot)
-        live.writeSnapshot(snapshot);
+    live.writeSnapshot(snapshot);
+    const std::string live_snapshot = snapshot.str();
     std::string journal_bytes = journal_buf.str();
+
+    // Snapshots hold decisions, not KV rows: smaller than a single
+    // copy of the active sessions' LLM K rows. After a decode step a
+    // session caches all but its last token.
+    size_t cached = 0;
+    for (const RequestManager::InflightInfo &info : live.inflight())
+        cached += info.prompt.size() +
+                  live.generatedSoFar(info.id).size() - 1;
+    ASSERT_GT(cached, 0u);
+    EXPECT_LT(live_snapshot.size(),
+              cached * f.llm.config().nLayers *
+                  f.llm.makeCache(1).kvDim() * sizeof(float));
 
     // ...then let the live manager finish (late arrivals included).
     for (size_t i = 2; i < prompts.size(); ++i)
@@ -180,10 +217,12 @@ runBoundaryRecovery(bool with_snapshot)
     JournalWriter journal2(journal2_buf);
     recovered.attachJournal(&journal2);
     std::stringstream journal_in(journal_bytes);
+    snapshot.seekg(0);
     uint64_t valid = recovered.recover(
         with_snapshot ? &snapshot : nullptr, &journal_in);
     EXPECT_EQ(valid, journal_bytes.size());
     EXPECT_EQ(recovered.stats().iterations, 4u);
+    expectSameSnapshot(recovered, live_snapshot);
     for (size_t i = 2; i < prompts.size(); ++i)
         ASSERT_TRUE(recovered.submit(prompts[i]).accepted());
     recovered.runUntilDrained();
@@ -300,6 +339,9 @@ runPrePhaseOrdering(size_t c_deadline, bool expires)
     RequestManager recovered(f.engine.get(), cfg);
     std::stringstream journal_in(journal_buf.str());
     recovered.recover(nullptr, &journal_in);
+    std::stringstream live_snapshot;
+    live.writeSnapshot(live_snapshot);
+    expectSameSnapshot(recovered, live_snapshot.str());
     auto cache = [](const RequestManager &m) {
         std::map<uint64_t, size_t> refs;
         for (const auto &[hash, block] : m.kvPool()->sharedTable())

@@ -101,8 +101,11 @@ serveJournaled(core::SpecEngine &engine,
                       manager.pendingCount();
     }
 
-    // Start a fresh journal epoch: snapshot the recovered (or
-    // empty) state, then truncate the journal and append from zero.
+    // Start a fresh journal epoch: truncate the journal, then
+    // snapshot the recovered (or empty) state at offset 0. A crash
+    // in between loses the old journal's tail; the reverse order
+    // would replay the old journal on top of a snapshot that
+    // already holds it (DESIGN.md §5d).
     std::ofstream journal_out(journal_path,
                               std::ios::binary | std::ios::trunc);
     SPECINFER_CHECK(journal_out.good(),
