@@ -71,7 +71,7 @@ SPECINFER_BENCH_TOKENS=8 \
 # Daemon smoke: specinferd + three real client processes over the
 # shared-memory plane, one killed mid-stream. Asserts the lease
 # reap, survivors token-identical to the in-process oracle, a clean
-# drain with no leaked segments, record replay, and the pinned
+# drain with no leaked segments, journal replay, and the pinned
 # ipc_*/daemon_* metric catalog (the script runs obs_check itself).
 ./scripts/daemon_smoke.sh
 

@@ -2,17 +2,17 @@
 # Daemon smoke test: a real multi-process run of the shared-memory
 # serving plane.
 #
-#   1. Start specinferd (journaled + recorded) over a scratch IPC
-#      directory.
+#   1. Start specinferd (journaled) over a scratch IPC directory.
 #   2. Run three specinfer_client processes concurrently; one of
 #      them dies kill -9 style mid-stream (--abandon-after-tokens:
 #      no goodbye, no unlink, hard exit) and must be lease-reaped.
 #   3. The survivors' `  tokens:` lines must be byte-identical to
 #      the in-process `spec_infer --verbose` oracle.
 #   4. SIGTERM drains the daemon; no shared-memory segment may be
-#      left behind, the recording must replay token-identically
-#      (diffcheck --replay-record), and obs_check pins the
-#      ipc_*/daemon_* metric catalog, including the reap counter.
+#      left behind, the journal must replay token-identically
+#      (diffcheck --replay-journal under the daemon's engine and
+#      serving flags), and obs_check pins the ipc_*/daemon_* metric
+#      catalog, including the reap counter.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -33,7 +33,7 @@ trap cleanup EXIT
     --llm $LLM --max-tokens $MAX_TOKENS --batch 4 \
     --dir "$IPCDIR" --lease-ticks 400 --scan-every 1 \
     --tick-micros 200 \
-    --journal "$WORK/serve.wal" --record "$WORK/stream.rec" \
+    --journal "$WORK/serve.wal" \
     --metrics-out "$WORK/daemon.prom" --verbose \
     >"$WORK/daemon.log" 2>&1 &
 DAEMON_PID=$!
@@ -111,8 +111,9 @@ leftover=$(ls "$IPCDIR" | grep -c '^specinferd' || true)
     ls -l "$IPCDIR"; exit 1
 }
 
-# The recording replays token-identically offline.
-"$BUILD/tools/diffcheck" --replay-record "$WORK/stream.rec"
+# The journal replays token-identically offline.
+"$BUILD/tools/diffcheck" --replay-journal "$WORK/serve.wal" \
+    --llm $LLM --max-tokens $MAX_TOKENS --batch 4
 
 # Pinned serving-plane metric catalog, and the reap actually
 # happened (daemon_reaps >= 1 in the exposition).
@@ -175,5 +176,5 @@ DAEMON_PID=""
     --require-metric parallel_allreduce_calls,parallel_allreduce_bytes,parallel_allgather_calls,parallel_allgather_bytes,daemon_tokens_streamed
 
 echo "daemon_smoke: OK (3 clients, 1 reaped, survivors oracle-"
-echo "identical, recording replayed, catalog pinned, --tp 2"
+echo "identical, journal replayed, catalog pinned, --tp 2"
 echo "daemon oracle-identical with collective accounting)"

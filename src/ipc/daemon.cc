@@ -1,12 +1,11 @@
 #include "ipc/daemon.h"
 
-#include <fcntl.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
-#include <sstream>
+#include <fstream>
 
 #include "obs/obs.h"
 #include "util/fault.h"
@@ -63,12 +62,6 @@ Daemon::Daemon(const core::SpecEngine *engine,
     serving_.obs = obs_;
 }
 
-Daemon::~Daemon()
-{
-    if (journalSyncFd_ >= 0)
-        ::close(journalSyncFd_);
-}
-
 void
 Daemon::preregisterMetrics()
 {
@@ -101,99 +94,23 @@ Daemon::start()
 
     // --- Crash recovery: snapshot + journal tail ------------------
     if (!cfg_.journalPath.empty()) {
+        uint64_t valid = 0;
         std::ifstream in(cfg_.journalPath, std::ios::binary);
         if (in.good()) {
-            std::stringstream journal_in;
-            journal_in << in.rdbuf();
             std::ifstream snap_in(cfg_.journalPath + ".snap",
                                   std::ios::binary);
-            manager_->recover(snap_in.good() ? &snap_in : nullptr,
-                              &journal_in);
+            valid = manager_->recover(
+                snap_in.good() ? &snap_in : nullptr, &in);
         }
-        // Fresh journal epoch: truncate the journal, then snapshot
-        // the recovered (or empty) state at offset 0 below. A crash
-        // in between loses the old journal's tail; the reverse
-        // order would replay the old journal on top of a snapshot
-        // that already holds it (DESIGN.md §5d).
-        journalOut_.open(cfg_.journalPath,
-                         std::ios::binary | std::ios::trunc);
-        if (!journalOut_.good())
+        // Append from the valid length: the old snapshot covers a
+        // prefix of what stays, and the one below covers all of it
+        // (DESIGN.md §5d).
+        journal_ = std::make_unique<runtime::JournalFile>();
+        if (!journal_->open(cfg_.journalPath, valid,
+                            serving_.journalFsync))
             return false;
-        journal_ =
-            std::make_unique<runtime::JournalWriter>(journalOut_);
-        if (serving_.journalFsync) {
-            // Second descriptor on the same file: appends flush the
-            // stream per record, so fdatasync here makes every
-            // committed frame power-loss durable (DESIGN.md §5d).
-            journalSyncFd_ =
-                ::open(cfg_.journalPath.c_str(), O_WRONLY);
-            if (journalSyncFd_ >= 0)
-                journal_->setSyncFd(journalSyncFd_);
-        }
-        manager_->attachJournal(journal_.get());
+        manager_->attachJournal(&journal_->writer());
         snapshot();
-    }
-
-    // --- Recording: truncate to the valid prefix and continue -----
-    if (!cfg_.recordPath.empty()) {
-        std::string prefix;
-        std::set<uint64_t> recordedFinishes;
-        {
-            std::ifstream in(cfg_.recordPath, std::ios::binary);
-            if (in.good()) {
-                std::stringstream buf;
-                buf << in.rdbuf();
-                prefix = buf.str();
-                buf.seekg(0);
-                RecordReader reader(buf);
-                RecordedEvent ev;
-                while (reader.next(ev))
-                    if (ev.type == EventType::Finish)
-                        recordedFinishes.insert(ev.id);
-                prefix.resize(
-                    static_cast<size_t>(reader.bytesConsumed()));
-            }
-        }
-        recordOut_.open(cfg_.recordPath,
-                        std::ios::binary | std::ios::trunc);
-        if (!recordOut_.good())
-            return false;
-        recordOut_.write(prefix.data(),
-                         static_cast<std::streamsize>(prefix.size()));
-        recorder_ = std::make_unique<RecordWriter>(recordOut_);
-        RecordedEvent header = cfg_.recordHeader;
-        header.type = EventType::Header;
-        header.maxBatchSize = serving_.maxBatchSize;
-        record(header);
-        // Re-emit recovered in-flight submits under their original
-        // ids: replay dedups by id, so these only matter when the
-        // live Submit append was lost to the crash.
-        for (const runtime::RequestManager::InflightInfo &info :
-             manager_->inflight()) {
-            RecordedEvent sub;
-            sub.type = EventType::Submit;
-            sub.iteration = manager_->stats().iterations;
-            sub.id = info.id;
-            sub.prompt = info.prompt;
-            sub.maxNewTokens = info.maxNewTokens;
-            sub.priority = static_cast<uint8_t>(info.priority);
-            record(sub);
-        }
-        // Results retired during journal replay finished after the
-        // crash: their Finish events were never recorded live.
-        for (const runtime::RequestResult &res :
-             manager_->finished()) {
-            if (recordedFinishes.count(res.id) == 0) {
-                RecordedEvent fin;
-                fin.type = EventType::Finish;
-                fin.iteration = manager_->stats().iterations;
-                fin.id = res.id;
-                fin.stopReason =
-                    static_cast<uint8_t>(res.stopReason);
-                fin.tokens = res.tokens;
-                record(fin);
-            }
-        }
     }
 
     // Everything finished before this start was already streamed
@@ -310,14 +227,6 @@ Daemon::handleMessage(Conn &conn, const Message &msg)
                 owner_[res.id] = &conn;
                 reply.type = MsgType::SubmitAck;
                 reply.id = res.id;
-                RecordedEvent sub;
-                sub.type = EventType::Submit;
-                sub.iteration = manager_->stats().iterations;
-                sub.id = res.id;
-                sub.prompt = msg.tokens;
-                sub.maxNewTokens = msg.maxNewTokens;
-                sub.priority = static_cast<uint8_t>(cls);
-                record(sub);
                 if (obs_ != nullptr)
                     obs_->metrics()
                         .counter("daemon_requests_admitted")
@@ -342,15 +251,8 @@ Daemon::handleMessage(Conn &conn, const Message &msg)
       }
 
       case MsgType::Cancel:
-        if (manager_->cancel(msg.id)) {
-            RecordedEvent ev;
-            ev.type = EventType::Cancel;
-            ev.iteration = manager_->stats().iterations;
-            ev.id = msg.id;
-            record(ev);
-            if (obs_ != nullptr)
-                obs_->metrics().counter("daemon_cancels")->inc();
-        }
+        if (manager_->cancel(msg.id) && obs_ != nullptr)
+            obs_->metrics().counter("daemon_cancels")->inc();
         break;
 
       case MsgType::Resume: {
@@ -439,7 +341,7 @@ Daemon::reapConn(size_t index, const char *why)
 {
     Conn &conn = *conns_[index];
     // Cancel everything this client still has in flight, then
-    // detach the ids; results land in finished() and are recorded,
+    // detach the ids; results land in finished() and are journaled,
     // so a reconnecting client can still Resume them.
     std::vector<uint64_t> owned;
     for (const auto &entry : owner_)
@@ -451,15 +353,8 @@ Daemon::reapConn(size_t index, const char *why)
         if (phase ==
                 runtime::RequestManager::RequestPhase::Pending ||
             phase ==
-                runtime::RequestManager::RequestPhase::Active) {
-            if (manager_->cancel(id)) {
-                RecordedEvent ev;
-                ev.type = EventType::Cancel;
-                ev.iteration = manager_->stats().iterations;
-                ev.id = id;
-                record(ev);
-            }
-        }
+                runtime::RequestManager::RequestPhase::Active)
+            manager_->cancel(id);
         owner_.erase(id);
     }
     if (conn.state != Conn::State::Bye) {
@@ -513,13 +408,6 @@ Daemon::streamFinished()
     for (const runtime::RequestResult &res : manager_->finished()) {
         if (!streamed_.insert(res.id).second)
             continue;
-        RecordedEvent fin;
-        fin.type = EventType::Finish;
-        fin.iteration = manager_->stats().iterations;
-        fin.id = res.id;
-        fin.stopReason = static_cast<uint8_t>(res.stopReason);
-        fin.tokens = res.tokens;
-        record(fin);
         Conn *conn = ownerOf(res.id);
         if (conn != nullptr) {
             Message msg;
@@ -633,25 +521,11 @@ Daemon::publishGauges()
 }
 
 void
-Daemon::record(const RecordedEvent &event)
-{
-    if (!recorder_)
-        return;
-    recorder_->append(event);
-    // Flush per event: the recording is the incident log, and a
-    // buffered Submit lost to a crash costs replay its only copy of
-    // that prompt.
-    recordOut_.flush();
-}
-
-void
 Daemon::snapshot()
 {
     if (!journal_)
         return;
     manager_->saveSnapshot(cfg_.journalPath + ".snap");
-    journalOut_.flush();
-    journal_->sync(); // no-op unless journalFsync armed a fd
     lastSnapshotIteration_ = manager_->stats().iterations;
 }
 
@@ -674,8 +548,8 @@ Daemon::tick()
     if (wedged_)
         return; // frozen mid-tick: no streaming, no heartbeat
     // Crash-after: simulate an abrupt death (kill -9 semantics) for
-    // supervisor smokes. Journal/recording streams flush per append,
-    // so _Exit loses at most the torn tail both are built to absorb.
+    // supervisor smokes. The journal flushes per append, so _Exit
+    // loses at most the torn tail it is built to absorb.
     if (cfg_.crashAfterIterations > 0 &&
         manager_->stats().iterations - iterationsAtStart_ >=
             cfg_.crashAfterIterations) {

@@ -27,10 +27,12 @@
  *  - Crash isolation: destroying a Daemon without drain() is the
  *    crash model — segments and persistence files are left behind,
  *    exactly like kill -9. A new Daemon over the same paths
- *    recovers the manager from snapshot + journal tail, re-attaches
- *    surviving channels, truncates the recording to its valid
- *    prefix and re-emits in-flight submits — clients notice the
- *    epoch bump and resume their token streams idempotently.
+ *    recovers the manager from snapshot + journal tail, cuts the
+ *    journal's torn tail and appends after it, and re-attaches
+ *    surviving channels — clients notice the epoch bump and resume
+ *    their token streams idempotently. The journal, one file across
+ *    every generation, is also the incident log: diffcheck
+ *    --replay-journal re-drives it offline.
  */
 
 #ifndef SPECINFER_IPC_DAEMON_H
@@ -38,7 +40,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <set>
@@ -46,7 +47,6 @@
 #include <vector>
 
 #include "ipc/channel.h"
-#include "ipc/recorder.h"
 #include "ipc/wire.h"
 #include "runtime/request_manager.h"
 #include "util/watchdog.h"
@@ -74,14 +74,6 @@ struct DaemonConfig
     /** Snapshot refresh cadence in manager iterations. */
     size_t snapshotEvery = 64;
 
-    /** Request-stream recording path (empty = no recording). */
-    std::string recordPath;
-
-    /** Engine identity stamped into the recording header (the
-     *  fields replayRecording() rebuilds the engine from);
-     *  maxBatchSize is filled in from the serving config. */
-    RecordedEvent recordHeader;
-
     /** Observability context (resolved like ServingConfig::obs). */
     obs::ObsContext *obs = nullptr;
 
@@ -108,15 +100,14 @@ class Daemon
   public:
     Daemon(const core::SpecEngine *engine,
            runtime::ServingConfig serving, DaemonConfig cfg);
-    ~Daemon();
 
     Daemon(const Daemon &) = delete;
     Daemon &operator=(const Daemon &) = delete;
 
     /**
-     * Create the board, recover persisted state (journal + snapshot
-     * + recording, when configured and present), and open a fresh
-     * journal/recording epoch.
+     * Create the board, recover persisted state (journal + snapshot,
+     * when configured and present), and append to the journal from
+     * its valid length.
      * @return false on any shm/file error (daemon cannot serve).
      */
     bool start();
@@ -184,7 +175,6 @@ class Daemon
     void runGuardedIteration();
     void publishHealth();
     void publishGauges();
-    void record(const RecordedEvent &event);
     void snapshot();
     void preregisterMetrics();
 
@@ -215,15 +205,11 @@ class Daemon
     std::vector<std::unique_ptr<Conn>> conns_;
     /** Request id → owning connection (reap/disconnect detaches). */
     std::map<uint64_t, Conn *> owner_;
-    /** Finished-result ids already streamed/recorded. */
+    /** Finished-result ids already streamed. */
     std::set<uint64_t> streamed_;
 
-    std::ofstream journalOut_;
-    std::unique_ptr<runtime::JournalWriter> journal_;
-    /** Raw descriptor for fdatasync when journalFsync is on. */
-    int journalSyncFd_ = -1;
-    std::ofstream recordOut_;
-    std::unique_ptr<RecordWriter> recorder_;
+    /** Open when journalPath is set. */
+    std::unique_ptr<runtime::JournalFile> journal_;
     size_t lastSnapshotIteration_ = 0;
 };
 

@@ -1,6 +1,7 @@
 #include "runtime/journal.h"
 
 #include <cstring>
+#include <filesystem>
 #include <istream>
 #include <ostream>
 
@@ -312,7 +313,8 @@ recordTypeName(RecordType type)
     return "unknown";
 }
 
-JournalWriter::JournalWriter(std::ostream &out) : out_(&out)
+JournalWriter::JournalWriter(std::ostream &out, uint64_t offset)
+    : out_(&out), bytes_(offset)
 {
 }
 
@@ -336,7 +338,8 @@ void
 syncFile(const std::string &path)
 {
 #if defined(__unix__) || defined(__APPLE__)
-    const int fd = ::open(path.c_str(), O_WRONLY);
+    // Read-only: a directory cannot be opened for writing.
+    const int fd = ::open(path.c_str(), O_RDONLY);
     if (fd < 0)
         return;
     datasync(fd);
@@ -344,6 +347,40 @@ syncFile(const std::string &path)
 #else
     (void)path;
 #endif
+}
+
+JournalFile::~JournalFile()
+{
+#if defined(__unix__) || defined(__APPLE__)
+    if (syncFd_ >= 0)
+        ::close(syncFd_);
+#endif
+}
+
+bool
+JournalFile::open(const std::string &path, uint64_t length,
+                  bool fsync)
+{
+    // Appends land at the end whatever the stream's position, so
+    // cutting the file after opening it moves them to `length`.
+    out_.open(path, std::ios::binary | std::ios::app);
+    std::error_code ec;
+    std::filesystem::resize_file(path, length, ec);
+    if (!out_.good() || ec)
+        return false;
+    writer_ = std::make_unique<JournalWriter>(out_, length);
+#if defined(__unix__) || defined(__APPLE__)
+    if (fsync) {
+        // Appends flush the stream per record, so this second
+        // descriptor sees every framed byte (DESIGN.md §5d).
+        syncFd_ = ::open(path.c_str(), O_WRONLY);
+        if (syncFd_ >= 0)
+            writer_->setSyncFd(syncFd_);
+    }
+#else
+    (void)fsync;
+#endif
+    return true;
 }
 
 void

@@ -21,7 +21,13 @@
  * mismatch — what a crash mid-append leaves behind) terminates the
  * stream cleanly at the last fully valid record, and
  * bytesConsumed() reports the valid prefix length so the caller can
- * truncate the file before resuming appends.
+ * cut the file there before resuming appends.
+ *
+ * One file holds the journal for the whole life of its path: a
+ * recovering process cuts only the torn tail and appends after it
+ * (JournalFile), so offsets — the one a snapshot records included —
+ * are absolute file offsets, and the file replayed from byte 0
+ * rebuilds every request any generation served.
  *
  * Records deliberately carry *events*, not state: a Step record
  * holds the tokens the verifier committed and the RNG cursor after
@@ -36,8 +42,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <fstream>
 #include <initializer_list>
 #include <iosfwd>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -223,13 +231,16 @@ class JournalWriter
 {
   public:
     /** @param out Destination stream (non-owning; must outlive the
-     *         writer). Appends start at the current position. */
-    explicit JournalWriter(std::ostream &out);
+     *         writer). Appends start at the current position.
+     *  @param offset Journal bytes already before that position:
+     *         the valid length of the file being appended to. */
+    explicit JournalWriter(std::ostream &out, uint64_t offset = 0);
 
     /** Append one record (no-op once closed()). */
     void append(const JournalRecord &record);
 
-    /** Bytes of fully written records (excludes a torn tail). */
+    /** Absolute journal offset after the last fully written record
+     *  (excludes a torn tail); snapshots record it. */
     uint64_t bytesWritten() const { return bytes_; }
 
     /**
@@ -264,9 +275,43 @@ class JournalWriter
     int syncFd_ = -1;
 };
 
-/** fdatasync the file at `path`, as JournalWriter::sync does the
- *  journal (best effort: an unopenable path is skipped). */
+/** fdatasync the file or directory at `path`, as JournalWriter::
+ *  sync does the journal (best effort: an unopenable path is
+ *  skipped). */
 void syncFile(const std::string &path);
+
+/**
+ * A journal file open for appends: the stream, its writer, and,
+ * with durability on, the descriptor JournalWriter::sync() uses.
+ * Fresh and recovering starts open it the same way, at different
+ * lengths.
+ */
+class JournalFile
+{
+  public:
+    JournalFile() = default;
+    ~JournalFile();
+    JournalFile(const JournalFile &) = delete;
+    JournalFile &operator=(const JournalFile &) = delete;
+
+    /**
+     * Cut the file at `path` to `length` bytes (creating it when
+     * missing) and append from there. Length 0 starts a fresh
+     * journal; the valid length recover() returned drops only a
+     * torn tail and keeps every record before it.
+     * @param fsync Arm JournalWriter::sync() (ServingConfig::
+     *        journalFsync).
+     * @return false when the file cannot be opened for writing.
+     */
+    bool open(const std::string &path, uint64_t length, bool fsync);
+
+    JournalWriter &writer() { return *writer_; }
+
+  private:
+    std::ofstream out_;
+    std::unique_ptr<JournalWriter> writer_;
+    int syncFd_ = -1;
+};
 
 /**
  * Truncation-tolerant journal reader: yields records until clean

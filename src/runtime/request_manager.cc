@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <istream>
 #include <ostream>
@@ -1423,10 +1424,21 @@ RequestManager::saveSnapshot(const std::string &path) const
         SPECINFER_CHECK(!out.fail(),
                         "snapshot write to '" << tmp << "' failed");
     }
-    if (cfg_.journalFsync)
+    // Durable order: the snapshot's bytes and every journal byte
+    // it covers reach the disk before the rename publishes it, and
+    // the rename itself before the caller moves on.
+    if (cfg_.journalFsync) {
         syncFile(tmp);
+        if (journal_ != nullptr)
+            journal_->sync();
+    }
     SPECINFER_CHECK(std::rename(tmp.c_str(), path.c_str()) == 0,
                     "cannot rename snapshot into '" << path << "'");
+    if (cfg_.journalFsync) {
+        const std::filesystem::path dir =
+            std::filesystem::path(path).parent_path();
+        syncFile(dir.empty() ? "." : dir.string());
+    }
 }
 
 void
@@ -1737,9 +1749,21 @@ RequestManager::recover(std::istream *snapshot, std::istream *journal)
 
     uint64_t replayed = 0;
     if (journal != nullptr) {
-        if (skip > 0)
-            journal->seekg(static_cast<std::streamoff>(skip),
-                           std::ios::cur);
+        if (skip > 0) {
+            // A journal shorter than the offset its snapshot covers
+            // is not this snapshot's journal: replaying nothing and
+            // returning the offset would have an appending caller
+            // zero-fill the gap.
+            const std::streampos start = journal->tellg();
+            journal->seekg(0, std::ios::end);
+            const std::streamoff size = journal->tellg() - start;
+            SPECINFER_CHECK(size >= static_cast<std::streamoff>(skip),
+                            "journal holds "
+                                << size << " bytes but its snapshot "
+                                << "covers " << skip);
+            journal->seekg(start +
+                           static_cast<std::streamoff>(skip));
+        }
         JournalReader reader(*journal);
         JournalRecord rec;
         replaying_ = true;

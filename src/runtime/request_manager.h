@@ -448,17 +448,19 @@ class RequestManager
      * degradation ladder, pending queue, active requests with their
      * complete sessions (sequence, RNG, KV caches), per-request KV
      * pool holdings, and finished results. The snapshot records the
-     * attached journal's current byte offset, so recover() replays
+     * attached journal's absolute byte offset, so recover() replays
      * exactly the journal tail written after this snapshot.
      */
     void writeSnapshot(std::ostream &out) const;
 
     /**
      * writeSnapshot() into the file `path` atomically: the bytes go
-     * to `path`.tmp, which is fsync'd when ServingConfig::
-     * journalFsync is set and then renamed over `path`. A crash
+     * to `path`.tmp, which is renamed over `path`. A crash
      * mid-write leaves a torn .tmp beside the previous snapshot,
-     * never a torn snapshot.
+     * never a torn snapshot. With ServingConfig::journalFsync the
+     * .tmp and the attached journal are synced before the rename
+     * and the directory after it, so a durable snapshot never
+     * covers journal bytes that are not.
      */
     void saveSnapshot(const std::string &path) const;
 
@@ -482,10 +484,11 @@ class RequestManager
      * @param snapshot Snapshot stream, or nullptr to replay the
      *        whole journal from an empty manager.
      * @param journal Journal stream positioned at its first record,
-     *        or nullptr to restore the snapshot alone.
+     *        or nullptr to restore the snapshot alone. It must hold
+     *        at least the bytes the snapshot covers.
      * @return Length in bytes of the valid journal prefix (skip +
      *         replayed records); callers resuming appends into the
-     *         same file should truncate it to this length first.
+     *         same file cut it to this length first (JournalFile).
      */
     uint64_t recover(std::istream *snapshot, std::istream *journal);
 

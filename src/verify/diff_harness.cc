@@ -921,19 +921,25 @@ runRecoveryTrial(uint64_t seed, bool verbose)
         if (mgr->crashed()) {
             ++crashes;
             // Process death: everything in memory is gone. Rebuild
-            // purely from the persisted snapshot + journal bytes.
+            // purely from the persisted snapshot + journal bytes,
+            // then cut the torn tail and append after it, as a
+            // recovering daemon does with its file.
             auto recovered =
                 std::make_unique<runtime::RequestManager>(&engine,
                                                           scfg);
-            auto new_buf = std::make_unique<std::stringstream>();
-            auto new_writer =
-                std::make_unique<runtime::JournalWriter>(*new_buf);
-            recovered->attachJournal(new_writer.get());
             std::stringstream snap_in(snap_bytes);
-            std::stringstream journal_in(journal_buf->str());
-            recovered->recover(
+            std::string journal_bytes = journal_buf->str();
+            std::stringstream journal_in(journal_bytes);
+            const uint64_t valid = recovered->recover(
                 snap_bytes.empty() ? nullptr : &snap_in,
                 &journal_in);
+            journal_bytes.resize(static_cast<size_t>(valid));
+            auto new_buf = std::make_unique<std::stringstream>();
+            new_buf->write(journal_bytes.data(),
+                           static_cast<std::streamsize>(valid));
+            auto new_writer = std::make_unique<runtime::JournalWriter>(
+                *new_buf, valid);
+            recovered->attachJournal(new_writer.get());
             // Every allocator call of an iteration is journaled
             // before the next crash point, so the recovered pool
             // equals the crashed one. Eviction picks its victim from
@@ -950,7 +956,7 @@ runRecoveryTrial(uint64_t seed, bool verbose)
             mgr = std::move(recovered);
             journal_buf = std::move(new_buf);
             writer = std::move(new_writer);
-            // Start a fresh journal epoch: snapshot now so a second
+            // Snapshot now, at the absolute offset, so a second
             // crash recovers from this point.
             std::stringstream snap_out;
             mgr->writeSnapshot(snap_out);
@@ -996,69 +1002,94 @@ runRecoveryTrial(uint64_t seed, bool verbose)
     std::vector<runtime::RequestResult> recovered_results =
         mgr->takeFinished();
 
-    // --- Equivalence: token-for-token identical outputs. ----------
-    if (baseline.size() != script.size() ||
-        recovered_results.size() != script.size()) {
-        out.ok = false;
-        out.detail = "request conservation violated: baseline " +
-                     std::to_string(baseline.size()) +
-                     ", recovered " +
-                     std::to_string(recovered_results.size()) +
-                     ", submitted " + std::to_string(script.size());
-        return out;
+    // The whole multi-generation journal, replayed from byte 0 with
+    // no snapshot, is one uninterrupted history: it must rebuild the
+    // same results as well.
+    std::vector<runtime::RequestResult> replayed_results;
+    {
+        runtime::RequestManager replayed(&engine, scfg);
+        const std::string journal_bytes = journal_buf->str();
+        std::stringstream journal_in(journal_bytes);
+        const uint64_t valid = replayed.recover(nullptr, &journal_in);
+        if (valid != journal_bytes.size()) {
+            out.ok = false;
+            out.detail = "journal replayed from byte 0 stopped at " +
+                         std::to_string(valid) + " of " +
+                         std::to_string(journal_bytes.size()) +
+                         " bytes";
+            return out;
+        }
+        replayed_results = replayed.takeFinished();
     }
+
+    // --- Equivalence: token-for-token identical outputs. ----------
     std::map<uint64_t, const runtime::RequestResult *> by_id;
     for (const runtime::RequestResult &res : baseline)
         by_id[res.id] = &res;
-    for (const runtime::RequestResult &res : recovered_results) {
-        auto ref = by_id.find(res.id);
-        if (ref == by_id.end()) {
-            out.ok = false;
-            out.detail = "request " + std::to_string(res.id) +
-                         " exists only after recovery";
-            return out;
+    auto diverged = [&](const std::vector<runtime::RequestResult>
+                            &results,
+                        const char *how) -> bool {
+        if (baseline.size() != script.size() ||
+            results.size() != script.size()) {
+            out.detail = std::string("request conservation violated ") +
+                         how + ": baseline " +
+                         std::to_string(baseline.size()) + ", got " +
+                         std::to_string(results.size()) +
+                         ", submitted " + std::to_string(script.size());
+            return true;
         }
-        if (res.tokens != ref->second->tokens) {
-            std::ostringstream oss;
-            oss << "request " << res.id
-                << " output diverged after recovery: baseline ["
-                << joinTokens(ref->second->tokens)
-                << "] vs recovered [" << joinTokens(res.tokens)
-                << "]";
-            out.ok = false;
-            out.detail = oss.str();
-            return out;
+        for (const runtime::RequestResult &res : results) {
+            auto ref = by_id.find(res.id);
+            if (ref == by_id.end()) {
+                out.detail = "request " + std::to_string(res.id) +
+                             " exists only " + how;
+                return true;
+            }
+            if (res.tokens != ref->second->tokens) {
+                std::ostringstream oss;
+                oss << "request " << res.id << " output diverged "
+                    << how << ": baseline ["
+                    << joinTokens(ref->second->tokens) << "] vs ["
+                    << joinTokens(res.tokens) << "]";
+                out.detail = oss.str();
+                return true;
+            }
+            if (res.stopReason != ref->second->stopReason) {
+                out.detail = "request " + std::to_string(res.id) +
+                             " stop reason diverged " + how;
+                return true;
+            }
+            // Cost records too: recovery rebuilds every cache to the
+            // live run's level, so no step re-decodes or adopts more
+            // or less than the uninterrupted run did.
+            const std::vector<core::StepRecord> &got = res.stats.steps;
+            const std::vector<core::StepRecord> &want =
+                ref->second->stats.steps;
+            if (got != want) {
+                const auto i = std::mismatch(got.begin(), got.end(),
+                                             want.begin(), want.end())
+                                   .first -
+                               got.begin();
+                out.detail = "request " + std::to_string(res.id) +
+                             " step record " + std::to_string(i) +
+                             " diverged " + how + " (" +
+                             std::to_string(want.size()) +
+                             " steps at baseline, " +
+                             std::to_string(got.size()) + ")";
+                return true;
+            }
         }
-        if (res.stopReason != ref->second->stopReason) {
-            out.ok = false;
-            out.detail = "request " + std::to_string(res.id) +
-                         " stop reason diverged after recovery";
-            return out;
-        }
-        // Cost records too: recovery rebuilds every cache to the
-        // live run's level, so no step re-decodes or adopts more or
-        // less than the uninterrupted run did.
-        const std::vector<core::StepRecord> &got = res.stats.steps;
-        const std::vector<core::StepRecord> &want =
-            ref->second->stats.steps;
-        if (got != want) {
-            const auto i = std::mismatch(got.begin(), got.end(),
-                                         want.begin(), want.end())
-                               .first -
-                           got.begin();
-            out.ok = false;
-            out.detail = "request " + std::to_string(res.id) +
-                         " step record " + std::to_string(i) +
-                         " diverged after recovery (" +
-                         std::to_string(want.size()) +
-                         " steps at baseline, " +
-                         std::to_string(got.size()) + " recovered)";
-            return out;
-        }
-        if (verbose)
+        return false;
+    };
+    if (diverged(recovered_results, "after recovery") ||
+        diverged(replayed_results, "in the journal replayed from 0")) {
+        out.ok = false;
+        return out;
+    }
+    if (verbose)
+        for (const runtime::RequestResult &res : recovered_results)
             out.configLine += "\n  id=" + std::to_string(res.id) +
                               ": " + joinTokens(res.tokens);
-    }
     return out;
 }
 

@@ -11,7 +11,9 @@
  *    reap/cancel aborts);
  *  - zero leaked KV blocks once the daemon is idle;
  *  - zero leaked shared-memory segments after drain;
- *  - the cross-generation recording replays token-identically.
+ *  - restarts append to the journal, leaving the first generation's
+ *    bytes untouched, and the cross-generation journal replays
+ *    token-identically.
  */
 
 #include <gtest/gtest.h>
@@ -25,11 +27,11 @@
 #include "../model/test_models.h"
 #include "ipc/client.h"
 #include "ipc/daemon.h"
-#include "ipc/replay.h"
 #include "obs/obs.h"
 #include "runtime/kv_memory.h"
 #include "util/fault.h"
 #include "util/rng.h"
+#include "verify/journal_replay.h"
 
 #include "ipc_test_util.h"
 
@@ -52,6 +54,33 @@ struct LiveClient
     std::unique_ptr<Client> client;
     std::vector<TrackedRequest> requests;
 };
+
+/**
+ * The journal after the settle phase: its first generation (the
+ * bytes on disk at the first restart) is a prefix, and the whole
+ * file replays token-identically through `engine`.
+ */
+void
+expectJournalAppendedAndReplays(const std::string &path,
+                                const std::string &first_generation,
+                                const core::SpecEngine &engine,
+                                const runtime::ServingConfig &serving)
+{
+    const std::string journal = testutil::readFile(path);
+    ASSERT_FALSE(first_generation.empty()) << "no restart happened";
+    ASSERT_GE(journal.size(), first_generation.size());
+    EXPECT_TRUE(journal.compare(0, first_generation.size(),
+                                first_generation) == 0)
+        << "a restart rewrote the first generation's journal";
+    std::istringstream journal_in(journal);
+    std::ostringstream log;
+    verify::JournalReplayResult res =
+        verify::replayJournal(journal_in, engine, serving, log);
+    EXPECT_TRUE(res.ok) << log.str();
+    EXPECT_EQ(res.mismatches, 0u) << log.str();
+    EXPECT_EQ(res.validBytes, journal.size());
+    EXPECT_GT(res.finishesChecked, 0u);
+}
 
 bool
 abortedStop(uint8_t stop)
@@ -80,8 +109,7 @@ TEST(DaemonSoakTest, ChaosSoakKeepsEveryInvariant)
     // The soak daemon serves SHARDED (tp=2) while every oracle
     // comparison below stays against the fixture's tp=1 engine:
     // §5j bit-identity soaked under chaos, with the degree riding
-    // through each crash's snapshot recovery and the recording
-    // header.
+    // through each crash's snapshot recovery.
     model::ModelConfig sharded_cfg = model::llmPreset("tiny");
     sharded_cfg.tensorParallel = 2;
     model::Transformer sharded_llm = model::makeLlm(sharded_cfg);
@@ -98,10 +126,8 @@ TEST(DaemonSoakTest, ChaosSoakKeepsEveryInvariant)
 
     DaemonConfig dcfg = f.daemonConfig();
     dcfg.journalPath = f.dir + "/soak.wal";
-    dcfg.recordPath = f.dir + "/soak.rec";
     dcfg.snapshotEvery = 8;
     dcfg.leaseTicks = 16;
-    dcfg.recordHeader.tpDegree = 2;
 
     auto daemon =
         std::make_unique<Daemon>(&sharded_engine, scfg, dcfg);
@@ -123,6 +149,7 @@ TEST(DaemonSoakTest, ChaosSoakKeepsEveryInvariant)
         spawn();
 
     size_t crashes = 0, kills = 0, submits = 0, reconnects = 0;
+    std::string first_generation;
     {
         util::FaultInjector injector(0xfa177ab1e5ULL);
         injector.setProbability(util::FaultPoint::IpcSend, 0.05);
@@ -166,10 +193,13 @@ TEST(DaemonSoakTest, ChaosSoakKeepsEveryInvariant)
             }
 
             // Crash the daemon (destructor, no drain) and restart
-            // over the same journal/recording/segments.
+            // over the same journal/segments.
             if (crashes < kMaxCrashes &&
                 chaos.uniformInt(1000) < 5) {
                 daemon.reset();
+                if (first_generation.empty())
+                    first_generation =
+                        testutil::readFile(dcfg.journalPath);
                 daemon = std::make_unique<Daemon>(&sharded_engine,
                                                   scfg, dcfg);
                 ASSERT_TRUE(daemon->start());
@@ -264,15 +294,9 @@ TEST(DaemonSoakTest, ChaosSoakKeepsEveryInvariant)
     EXPECT_TRUE(listSegments(f.dir, "specinferd").empty())
         << "leaked shared-memory segments";
 
-    // The recording spans every daemon generation and replays
-    // token-identically offline.
-    std::ifstream rec(dcfg.recordPath, std::ios::binary);
-    ASSERT_TRUE(rec.good());
-    std::ostringstream log;
-    ReplayResult res = replayRecording(rec, log);
-    EXPECT_TRUE(res.ok) << log.str();
-    EXPECT_EQ(res.mismatches, 0u) << log.str();
-    EXPECT_GT(res.finishesChecked, 0u);
+    expectJournalAppendedAndReplays(dcfg.journalPath,
+                                    first_generation, sharded_engine,
+                                    scfg);
 }
 
 /**
@@ -309,7 +333,6 @@ TEST(DaemonSoakTest, WatchdogHangWedgeChaosSoakRecovers)
 
     DaemonConfig dcfg = f.daemonConfig();
     dcfg.journalPath = f.dir + "/wdsoak.wal";
-    dcfg.recordPath = f.dir + "/wdsoak.rec";
     dcfg.snapshotEvery = 8;
     dcfg.leaseTicks = 16;
     dcfg.obs = &obs_ctx;
@@ -340,6 +363,14 @@ TEST(DaemonSoakTest, WatchdogHangWedgeChaosSoakRecovers)
         runtime::Priority::Batch,
     };
     size_t crashes = 0, wedge_kills = 0, submits = 0;
+    std::string first_generation;
+    auto restart = [&]() {
+        daemon.reset();
+        if (first_generation.empty())
+            first_generation = testutil::readFile(dcfg.journalPath);
+        daemon = std::make_unique<Daemon>(&f.engine, scfg, dcfg);
+        ASSERT_TRUE(daemon->start());
+    };
     {
         util::FaultInjector injector(0xd06fa017ULL);
         injector.setProbability(util::FaultPoint::Hang, 0.03);
@@ -372,10 +403,7 @@ TEST(DaemonSoakTest, WatchdogHangWedgeChaosSoakRecovers)
 
             if (crashes < kMaxCrashes &&
                 chaos.uniformInt(1000) < 4) {
-                daemon.reset();
-                daemon = std::make_unique<Daemon>(&f.engine, scfg,
-                                                  dcfg);
-                ASSERT_TRUE(daemon->start());
+                restart();
                 ++crashes;
             }
 
@@ -393,10 +421,7 @@ TEST(DaemonSoakTest, WatchdogHangWedgeChaosSoakRecovers)
             // and only an external kill recovers it. Journal
             // recovery then resumes the in-flight work.
             if (daemon->wedged()) {
-                daemon.reset();
-                daemon = std::make_unique<Daemon>(&f.engine, scfg,
-                                                  dcfg);
-                ASSERT_TRUE(daemon->start());
+                restart();
                 ++wedge_kills;
             }
         }
@@ -478,12 +503,8 @@ TEST(DaemonSoakTest, WatchdogHangWedgeChaosSoakRecovers)
     EXPECT_TRUE(listSegments(f.dir, "specinferd").empty())
         << "leaked shared-memory segments";
 
-    std::ifstream rec(dcfg.recordPath, std::ios::binary);
-    ASSERT_TRUE(rec.good());
-    std::ostringstream log;
-    ReplayResult res = replayRecording(rec, log);
-    EXPECT_TRUE(res.ok) << log.str();
-    EXPECT_EQ(res.mismatches, 0u) << log.str();
+    expectJournalAppendedAndReplays(dcfg.journalPath,
+                                    first_generation, f.engine, scfg);
 }
 
 } // namespace

@@ -10,7 +10,7 @@
  * typed admission rejections (invalid prompt, queue-full,
  * draining), daemon crash + restart with journaled recovery and
  * client-side resume, the injected `client-reap` fault survived by
- * reconnecting, recording replay, jittered preemption backoff
+ * reconnecting, journal replay, jittered preemption backoff
  * determinism, and the pinned ipc / daemon metrics catalog.
  */
 
@@ -26,9 +26,9 @@
 
 #include "../model/test_models.h"
 #include "ipc/client.h"
-#include "ipc/replay.h"
 #include "obs/obs.h"
 #include "util/fault.h"
+#include "verify/journal_replay.h"
 
 #include "ipc_test_util.h"
 
@@ -214,7 +214,6 @@ TEST(DaemonTest, CrashRestartRecoversAndResumesStreams)
     Fixture f;
     DaemonConfig dcfg = f.daemonConfig();
     dcfg.journalPath = f.dir + "/serve.wal";
-    dcfg.recordPath = f.dir + "/stream.rec";
     dcfg.snapshotEvery = 4;
 
     auto daemon = std::make_unique<Daemon>(
@@ -246,8 +245,11 @@ TEST(DaemonTest, CrashRestartRecoversAndResumesStreams)
         << "crashed too late: everything already finished";
 
     // kill -9 the daemon: destructor without drain(). Segments,
-    // journal, and recording survive on disk.
+    // journal and snapshot survive on disk.
     daemon.reset();
+    const std::string first_generation =
+        testutil::readFile(dcfg.journalPath);
+    ASSERT_FALSE(first_generation.empty());
     daemon = std::make_unique<Daemon>(&f.engine, f.servingConfig(),
                                       dcfg);
     ASSERT_TRUE(daemon->start());
@@ -274,14 +276,20 @@ TEST(DaemonTest, CrashRestartRecoversAndResumesStreams)
     daemon->drain();
     EXPECT_TRUE(listSegments(f.dir, "specinferd").empty());
 
-    // The recording spans both daemon generations and replays
-    // token-identically offline.
-    std::ifstream rec(dcfg.recordPath, std::ios::binary);
-    ASSERT_TRUE(rec.good());
+    // The restart appended: the first generation's bytes are
+    // untouched, and the one journal spans both generations and
+    // replays token-identically offline.
+    const std::string journal = testutil::readFile(dcfg.journalPath);
+    ASSERT_GT(journal.size(), first_generation.size());
+    EXPECT_TRUE(journal.compare(0, first_generation.size(),
+                                first_generation) == 0);
+    std::istringstream journal_in(journal);
     std::ostringstream log;
-    ReplayResult res = replayRecording(rec, log);
+    verify::JournalReplayResult res = verify::replayJournal(
+        journal_in, f.engine, f.servingConfig(), log);
     EXPECT_TRUE(res.ok) << log.str();
     EXPECT_EQ(res.mismatches, 0u);
+    EXPECT_EQ(res.validBytes, journal.size());
     EXPECT_GE(res.finishesChecked, 3u);
 }
 
@@ -289,9 +297,8 @@ TEST(DaemonTest, ShardedDaemonMatchesUnshardedOracleAndReplays)
 {
     // A daemon serving at --tp 2 must stream tokens identical to
     // the tp=1 engine oracle (§5j bit-identity at the serving
-    // boundary), and its recording — which persists the degree in
-    // the header — must replay token-identically offline with the
-    // engine rebuilt at that same degree.
+    // boundary), and its journal must replay token-identically
+    // offline through the engine at that same degree.
     Fixture f;
     model::ModelConfig sharded_cfg = model::llmPreset("tiny");
     sharded_cfg.tensorParallel = 2;
@@ -302,8 +309,7 @@ TEST(DaemonTest, ShardedDaemonMatchesUnshardedOracleAndReplays)
     runtime::ServingConfig scfg = f.servingConfig();
     scfg.tpDegree = 2;
     DaemonConfig dcfg = f.daemonConfig();
-    dcfg.recordPath = f.dir + "/sharded.rec";
-    dcfg.recordHeader.tpDegree = 2;
+    dcfg.journalPath = f.dir + "/sharded.wal";
     Daemon daemon(&engine, scfg, dcfg);
     ASSERT_TRUE(daemon.start());
 
@@ -324,10 +330,11 @@ TEST(DaemonTest, ShardedDaemonMatchesUnshardedOracleAndReplays)
     }
     daemon.drain();
 
-    std::ifstream rec(dcfg.recordPath, std::ios::binary);
-    ASSERT_TRUE(rec.good());
+    std::ifstream journal_in(dcfg.journalPath, std::ios::binary);
+    ASSERT_TRUE(journal_in.good());
     std::ostringstream log;
-    ReplayResult res = replayRecording(rec, log);
+    verify::JournalReplayResult res =
+        verify::replayJournal(journal_in, engine, scfg, log);
     EXPECT_TRUE(res.ok) << log.str();
     EXPECT_EQ(res.mismatches, 0u);
     EXPECT_GE(res.finishesChecked, 3u);

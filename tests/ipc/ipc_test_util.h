@@ -1,8 +1,8 @@
 /**
  * @file
  * Shared fixture for the in-process specinferd IPC tests: a tiny
- * preset-backed engine (so recordings replay offline) plus a
- * scratch IPC directory that is wiped on teardown.
+ * preset-backed engine plus a scratch IPC directory that is wiped
+ * on teardown.
  *
  * In-process clients all share one pid, so channel names collide on
  * the nonce alone — tests must hand every client a distinct nonce
@@ -16,6 +16,8 @@
 
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -28,6 +30,16 @@ namespace specinfer {
 namespace ipc {
 namespace testutil {
 
+/** The whole file at `path` ("" when unreadable). */
+inline std::string
+readFile(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    return bytes.str();
+}
+
 inline std::string
 makeScratchDir()
 {
@@ -39,8 +51,8 @@ makeScratchDir()
 
 /**
  * Engine + scratch-dir fixture. The LLM is the `tiny` *preset* (not
- * the ad-hoc test model) so recordings made here carry an engine
- * identity that replayRecording() can rebuild offline.
+ * the ad-hoc test model), the same one `specinferd --llm tiny`
+ * serves.
  */
 struct Fixture
 {
@@ -61,8 +73,7 @@ struct Fixture
     static core::EngineConfig
     engineConfig()
     {
-        // Exactly greedyDefault + the fields a recording header
-        // carries, so the replayed engine is this engine.
+        // greedyDefault plus the fields specinferd takes as flags.
         core::EngineConfig cfg = core::EngineConfig::greedyDefault();
         cfg.spec.expansion = core::ExpansionConfig::parse("1,2,2");
         cfg.maxNewTokens = 12;
@@ -85,12 +96,6 @@ struct Fixture
         dcfg.dir = dir;
         dcfg.scanEvery = 1;   // co-op tests want instant discovery
         dcfg.leaseTicks = 24;
-        dcfg.recordHeader.llm = "tiny";
-        dcfg.recordHeader.ssmLayers = 2;
-        dcfg.recordHeader.expansion = "1,2,2";
-        dcfg.recordHeader.seed = 7;
-        dcfg.recordHeader.engineMaxNewTokens = 12;
-        dcfg.recordHeader.temperature = 0.0;
         return dcfg;
     }
 

@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -361,6 +363,52 @@ TEST(JournalTest, ReaderStartsAtStreamPosition)
     EXPECT_FALSE(reader.next(got));
     EXPECT_EQ(reader.bytesConsumed(),
               writer.bytesWritten() - skip);
+}
+
+TEST(JournalTest, FileAppendsAfterItsValidLengthAtAbsoluteOffsets)
+{
+    // A recovering start cuts only the torn tail and appends after
+    // it: the first generation's records stay byte for byte, and the
+    // writer counts from the file's start, as snapshots need.
+    const std::string path =
+        ::testing::TempDir() + "/specinfer_journal_file_test.wal";
+    auto read_all = [&path]() {
+        std::ifstream in(path, std::ios::binary);
+        std::stringstream bytes;
+        bytes << in.rdbuf();
+        return bytes.str();
+    };
+    uint64_t first_end = 0;
+    {
+        JournalFile file;
+        ASSERT_TRUE(file.open(path, 0, false));
+        file.writer().append(sampleSubmit());
+        first_end = file.writer().bytesWritten();
+        file.writer().tearNextAppend();
+        file.writer().append(samplePreempt());
+    }
+    const std::string first = read_all();
+    ASSERT_GT(first.size(), first_end) << "no torn tail to cut";
+    {
+        JournalFile file;
+        ASSERT_TRUE(file.open(path, first_end, false));
+        EXPECT_EQ(file.writer().bytesWritten(), first_end);
+        file.writer().append(samplePreempt());
+        EXPECT_EQ(file.writer().bytesWritten(), read_all().size());
+    }
+    const std::string joined = read_all();
+    EXPECT_EQ(joined.substr(0, first_end), first.substr(0, first_end));
+    std::stringstream in(joined);
+    JournalReader reader(in);
+    JournalRecord got;
+    ASSERT_TRUE(reader.next(got));
+    EXPECT_EQ(got.type, RecordType::Submit);
+    ASSERT_TRUE(reader.next(got));
+    EXPECT_EQ(got.type, RecordType::Preempt);
+    EXPECT_FALSE(reader.next(got));
+    EXPECT_FALSE(reader.tornTail());
+    EXPECT_EQ(reader.bytesConsumed(), joined.size());
+    std::remove(path.c_str());
 }
 
 } // namespace

@@ -495,6 +495,35 @@ TEST(RecoveryDeathTest, OutOfRangeSnapshotPriorityRefusesRecovery)
                  "snapshot priority class 3 out of range");
 }
 
+TEST(RecoveryDeathTest, JournalShorterThanItsSnapshotRefusesRecovery)
+{
+    // A snapshot covering more journal than the stream holds belongs
+    // to another journal. Recovery must refuse it, not return an
+    // offset past the end for an appending caller to zero-fill up to.
+    EngineFixture f;
+    ServingConfig cfg;
+    cfg.maxBatchSize = 1;
+    RequestManager live(f.engine.get(), cfg);
+    std::stringstream journal_buf;
+    JournalWriter journal(journal_buf);
+    live.attachJournal(&journal);
+    ASSERT_TRUE(live.submit({4, 8, 15}).accepted());
+    live.runIteration();
+    std::stringstream snapshot;
+    live.writeSnapshot(snapshot);
+
+    const std::string bytes = journal_buf.str();
+    RequestManager recovered(f.engine.get(), cfg);
+    std::stringstream short_journal(bytes.substr(0, bytes.size() - 1));
+    // The child re-executes the binary instead of forking this
+    // process: a forked child of the pooled process blocks here.
+    const std::string style = ::testing::FLAGS_gtest_death_test_style;
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_DEATH(recovered.recover(&snapshot, &short_journal),
+                 "but its snapshot covers");
+    ::testing::FLAGS_gtest_death_test_style = style;
+}
+
 // ----------------------------------------------------------------
 // One codec per fact: stats, degradation, snapshot files.
 

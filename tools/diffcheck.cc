@@ -9,26 +9,33 @@
  *             [--recovery-trials N] [--mss-samples N] [--seed S]
  *             [--alpha A]
  *             [--replay SEED --kind greedy|fuzz|kv|recovery]
- *             [--replay-record FILE [--verbose]]
+ *             [--replay-journal FILE [--verbose] [specinferd's
+ *              --llm --ssm-layers --ssm-precision --tp --expansion
+ *              --seed --max-tokens --temperature --batch
+ *              --class-buckets --class-refill]]
  *
  * Exit status is 0 iff every check passes. On failure the tool
  * prints `diffcheck --replay <seed> --kind <kind>`, which re-runs
  * exactly the failing trial with verbose detail.
  *
- * --replay-record re-drives a specinferd request-stream recording
- * through a fresh engine and checks token-identical reproduction
- * (exact for finished requests, prefix for aborted ones) — the
- * offline oracle for live daemon incidents.
+ * --replay-journal re-drives a specinferd (or spec_infer --journal)
+ * journal through a fresh engine built from the engine and serving
+ * flags the journal was served with, and checks token-identical
+ * reproduction (exact for finished requests, prefix for aborted
+ * ones): the offline oracle for live daemon incidents. In this mode
+ * --seed is the engine seed, as for specinferd.
  */
+
+#include "cli_common.h"
 
 #include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <string>
 
-#include "ipc/replay.h"
 #include "util/flags.h"
 #include "verify/diff_harness.h"
+#include "verify/journal_replay.h"
 
 namespace {
 
@@ -75,28 +82,29 @@ main(int argc, char **argv)
 {
     using namespace specinfer;
     util::Flags flags(argc, argv);
-    flags.allowOnly({"trials", "fuzz-trials", "kv-trials",
-                     "recovery-trials", "mss-samples", "mss-ssms",
-                     "seed", "alpha", "replay", "kind",
-                     "replay-record", "verbose"});
+    std::vector<std::string> allowed = tools::servingFlagNames();
+    allowed.insert(allowed.end(),
+                   {"trials", "fuzz-trials", "kv-trials",
+                    "recovery-trials", "mss-samples", "mss-ssms",
+                    "alpha", "replay", "kind", "replay-journal",
+                    "verbose"});
+    flags.allowOnly(allowed);
 
     const uint64_t seed0 =
         static_cast<uint64_t>(flags.getInt("seed", 1));
 
-    if (flags.has("replay-record")) {
-        const std::string path = flags.get("replay-record", "");
+    if (flags.has("replay-journal")) {
+        const std::string path = flags.get("replay-journal", "");
         std::ifstream in(path, std::ios::binary);
         if (!in.good()) {
-            std::printf("cannot read recording '%s'\n",
-                        path.c_str());
+            std::printf("cannot read journal '%s'\n", path.c_str());
             return 2;
         }
-        ipc::ReplayResult res = ipc::replayRecording(
-            in, std::cout, flags.getBool("verbose"));
-        if (!res.error.empty()) {
-            std::printf("replay: %s\n", res.error.c_str());
-            return 2;
-        }
+        std::unique_ptr<tools::ServingStack> stack =
+            tools::servingStackFromFlags(flags);
+        verify::JournalReplayResult res = verify::replayJournal(
+            in, stack->engine, stack->serving, std::cout,
+            flags.getBool("verbose"));
         return res.ok ? 0 : 1;
     }
 

@@ -32,17 +32,15 @@
  * (simulating a crash); a subsequent run with --recover rebuilds
  * the scheduler from snapshot + journal tail and finishes the
  * interrupted requests — with outputs token-identical to an
- * uninterrupted run.
+ * uninterrupted run. The recovering run appends to the crashed
+ * run's journal, so `diffcheck --replay-journal` can re-drive the
+ * whole file under the same flags.
  */
 
 #include "cli_common.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <cstdlib>
 #include <fstream>
-#include <sstream>
 
 #include "runtime/journal.h"
 #include "runtime/request_manager.h"
@@ -54,39 +52,28 @@ using namespace specinfer;
 
 /** Serve through the journaled RequestManager (--journal mode). */
 int
-serveJournaled(core::SpecEngine &engine,
+serveJournaled(const tools::ServingStack &stack,
                const workload::PromptDataset &dataset,
-               size_t num_prompts, size_t batch,
-               model::Precision ssm_precision, size_t tp_degree,
-               const std::string &journal_path, size_t snap_every,
-               int64_t crash_after, bool recover_mode,
-               bool journal_fsync, bool verbose)
+               size_t num_prompts, const std::string &journal_path,
+               size_t snap_every, int64_t crash_after,
+               bool recover_mode, bool journal_fsync, bool verbose)
 {
     const std::string snap_path = journal_path + ".snap";
-    runtime::ServingConfig scfg;
-    scfg.maxBatchSize = batch;
-    // Persisted in every snapshot: recovery refuses to resume a run
-    // under a different SSM precision or tensor-parallel degree
-    // than it crashed with.
-    scfg.ssmPrecision = static_cast<uint8_t>(ssm_precision);
-    scfg.tpDegree = static_cast<uint8_t>(tp_degree);
+    runtime::ServingConfig scfg = stack.serving;
     scfg.journalFsync = journal_fsync;
-    runtime::RequestManager manager(&engine, scfg);
+    runtime::RequestManager manager(&stack.engine, scfg);
 
     size_t next_prompt = 0;
+    uint64_t valid = 0; // a fresh run starts the journal over
     if (recover_mode) {
         // Rebuild from the persisted bytes: snapshot (if any) plus
         // the journal tail, tolerating a torn final record.
-        std::stringstream journal_in;
-        {
-            std::ifstream in(journal_path, std::ios::binary);
-            SPECINFER_CHECK(in.good(), "cannot read journal '"
-                                           << journal_path << "'");
-            journal_in << in.rdbuf();
-        }
+        std::ifstream journal_in(journal_path, std::ios::binary);
+        SPECINFER_CHECK(journal_in.good(), "cannot read journal '"
+                                               << journal_path << "'");
         std::ifstream snap_in(snap_path, std::ios::binary);
-        uint64_t valid = manager.recover(
-            snap_in.good() ? &snap_in : nullptr, &journal_in);
+        valid = manager.recover(snap_in.good() ? &snap_in : nullptr,
+                                &journal_in);
         std::printf("recover: %llu valid journal bytes, "
                     "%zu finished, %zu active, %zu pending at "
                     "iteration %zu\n",
@@ -101,37 +88,13 @@ serveJournaled(core::SpecEngine &engine,
                       manager.pendingCount();
     }
 
-    // Start a fresh journal epoch: truncate the journal, then
-    // snapshot the recovered (or empty) state at offset 0. A crash
-    // in between loses the old journal's tail; the reverse order
-    // would replay the old journal on top of a snapshot that
-    // already holds it (DESIGN.md §5d).
-    std::ofstream journal_out(journal_path,
-                              std::ios::binary | std::ios::trunc);
-    SPECINFER_CHECK(journal_out.good(),
+    // Append from the valid length (DESIGN.md §5d); --journal-fsync
+    // arms fdatasync at iteration and snapshot boundaries.
+    runtime::JournalFile journal;
+    SPECINFER_CHECK(journal.open(journal_path, valid, journal_fsync),
                     "cannot write journal '" << journal_path << "'");
-    runtime::JournalWriter journal(journal_out);
-    // Power-loss durability (opt-in): a second descriptor on the
-    // journal file; appends flush the stream, sync() fdatasyncs it
-    // at iteration and snapshot boundaries.
-    int sync_fd = -1;
-    if (journal_fsync) {
-        sync_fd = ::open(journal_path.c_str(), O_WRONLY);
-        if (sync_fd >= 0)
-            journal.setSyncFd(sync_fd);
-    }
-    manager.attachJournal(&journal);
-    // An operator interrupt mid-serve still leaves a recoverable
-    // journal prefix on disk (satellite of the daemon work: every
-    // serving entry point flushes state on SIGINT/SIGTERM).
-    tools::setSignalFlushHook([&journal_out]() {
-        journal_out.flush();
-    });
-    auto snapshot = [&]() {
-        manager.saveSnapshot(snap_path);
-        journal_out.flush();
-        journal.sync(); // no-op without --journal-fsync
-    };
+    manager.attachJournal(&journal.writer());
+    auto snapshot = [&]() { manager.saveSnapshot(snap_path); };
     snapshot();
 
     for (size_t i = next_prompt; i < num_prompts; ++i)
@@ -148,7 +111,6 @@ serveJournaled(core::SpecEngine &engine,
             manager.busy()) {
             // Simulated process death: no snapshot, no drain — the
             // journal's flushed prefix is all a restart gets.
-            journal_out.flush();
             std::printf("crash-after: dying at iteration %zu with "
                         "%zu requests in flight (rerun with "
                         "--recover)\n",
@@ -174,9 +136,6 @@ serveJournaled(core::SpecEngine &engine,
                 "(%.2f tokens/step) over %zu iterations\n",
                 tokens, steps, tokens / steps,
                 static_cast<size_t>(manager.stats().iterations));
-    tools::setSignalFlushHook(nullptr); // journal_out leaves scope
-    if (sync_fd >= 0)
-        ::close(sync_fd);
     return 0;
 }
 
@@ -189,16 +148,9 @@ main(int argc, char **argv)
     util::Flags flags(argc, argv);
     flags.allowOnly(tools::commonFlagNames());
 
-    const std::string llm_name = flags.get("llm", "llama-7b-sim");
-    const size_t ssm_layers =
-        static_cast<size_t>(flags.getInt("ssm-layers", 2));
     const std::string dataset_name = flags.get("dataset", "Alpaca");
     const size_t num_prompts =
         static_cast<size_t>(flags.getInt("num-prompts", 4));
-    const size_t max_tokens =
-        static_cast<size_t>(flags.getInt("max-tokens", 64));
-    const float temperature =
-        static_cast<float>(flags.getDouble("temperature", 0.0));
     const bool verbose = flags.getBool("verbose");
     const std::string metrics_out = flags.get("metrics-out", "");
     const std::string trace_out = flags.get("trace-out", "");
@@ -209,46 +161,27 @@ main(int argc, char **argv)
     tools::installSignalFlush(obs_ctx.get(), metrics_out,
                               trace_out);
 
-    // --tp shards the LLM (and, through the factories, the SSMs)
-    // across simulated tensor-parallel ranks; emitted tokens are
-    // bit-identical at every degree (DESIGN.md §5j).
-    model::ModelConfig llm_cfg = model::llmPreset(llm_name);
-    llm_cfg.tensorParallel =
-        static_cast<size_t>(flags.getInt("tp", 1));
-    model::Transformer llm = model::makeLlm(llm_cfg);
-    const model::Precision ssm_precision =
-        model::parsePrecision(flags.get("ssm-precision", "fp32"));
-    model::Transformer ssm =
-        ssm_precision == model::Precision::Int8
-            ? model::makeInt8Ssm(llm, ssm_layers)
-            : model::makeEarlyExitSsm(llm, ssm_layers);
-
-    core::EngineConfig cfg =
-        temperature > 0.0f
-            ? core::EngineConfig::stochasticDefault(temperature)
-            : core::EngineConfig::greedyDefault();
-    cfg.spec.expansion = tools::parseExpansion(
-        flags.get("expansion", "1,1,3,1,1,1,1,1"));
-    cfg.maxNewTokens = max_tokens;
-    cfg.seed = static_cast<uint64_t>(flags.getInt("seed", 1));
-    core::SpecEngine engine(&llm, {&ssm}, cfg);
+    std::unique_ptr<tools::ServingStack> stack =
+        tools::servingStackFromFlags(flags);
+    const core::SpecEngine &engine = stack->engine;
+    const core::EngineConfig &cfg = engine.config();
 
     std::printf("spec_infer: %s + %s, dataset %s, expansion %s, "
                 "%s decoding\n",
-                llm.config().name.c_str(), ssm.config().name.c_str(),
+                stack->llm.config().name.c_str(),
+                stack->ssm.config().name.c_str(),
                 dataset_name.c_str(),
                 cfg.spec.expansion.toString().c_str(),
-                temperature > 0.0f ? "stochastic" : "greedy");
+                cfg.verify == core::VerifyMode::Greedy ? "greedy"
+                                                    : "stochastic");
 
     workload::PromptDataset dataset = workload::PromptDataset::named(
-        dataset_name, llm.config().vocabSize);
+        dataset_name, stack->llm.config().vocabSize);
 
     const std::string journal_path = flags.get("journal", "");
     if (!journal_path.empty()) {
         int rc = serveJournaled(
-            engine, dataset, num_prompts,
-            static_cast<size_t>(flags.getInt("batch", 4)),
-            ssm_precision, llm_cfg.tensorParallel, journal_path,
+            *stack, dataset, num_prompts, journal_path,
             static_cast<size_t>(flags.getInt("snapshot-every", 32)),
             flags.getInt("crash-after", -1),
             flags.getBool("recover"),

@@ -20,12 +20,13 @@
  *              [--max-ticks 0]        stop after N ticks (CI; 0 =
  *                                     run until signalled)
  *              [--journal PATH]       write-ahead journal (crash
- *                                     recovery; snapshot at .snap)
+ *                                     recovery; snapshot at .snap;
+ *                                     appended across restarts and
+ *                                     replayed offline by diffcheck
+ *                                     --replay-journal)
  *              [--journal-fsync]      fdatasync the journal at
  *                                     iteration/snapshot boundaries
  *                                     (power-loss durability)
- *              [--record PATH]        request-stream recording
- *                                     (diffcheck --replay-record)
  *              [--class-buckets i,s,b] per-class token-bucket
  *                                     capacities (0 = unmetered)
  *              [--class-refill i,s,b] bucket refill periods
@@ -44,6 +45,10 @@
  * 0. kill -9 is the crash path: segments and journal survive, and
  * the next specinferd over the same --dir/--journal recovers and
  * resumes every stream.
+ *
+ * The engine and serving flags (--llm through --class-refill) are
+ * the journal's identity: `diffcheck --replay-journal PATH` takes
+ * the same ones to re-drive the journal offline.
  */
 
 #include "cli_common.h"
@@ -76,28 +81,16 @@ main(int argc, char **argv)
 {
     using namespace specinfer;
     util::Flags flags(argc, argv);
-    flags.allowOnly({"llm", "ssm-layers", "ssm-precision", "tp",
-                     "expansion", "seed",
-                     "max-tokens", "temperature", "batch", "dir",
-                     "lease-ticks", "scan-every", "tick-micros",
-                     "max-ticks", "journal", "snapshot-every",
-                     "journal-fsync", "record",
-                     "class-buckets", "class-refill",
-                     "wall-deadline-ms", "watchdog-budget-ms",
-                     "stall-degrade", "crash-after",
-                     "metrics-out", "trace-out", "verbose"});
+    std::vector<std::string> allowed = tools::servingFlagNames();
+    allowed.insert(allowed.end(),
+                   {"dir", "lease-ticks", "scan-every", "tick-micros",
+                    "max-ticks", "journal", "snapshot-every",
+                    "journal-fsync", "wall-deadline-ms",
+                    "watchdog-budget-ms", "stall-degrade",
+                    "crash-after", "metrics-out", "trace-out",
+                    "verbose"});
+    flags.allowOnly(allowed);
 
-    const std::string llm_name = flags.get("llm", "llama-7b-sim");
-    const size_t ssm_layers =
-        static_cast<size_t>(flags.getInt("ssm-layers", 2));
-    const std::string expansion_text =
-        flags.get("expansion", "1,1,3,1,1,1,1,1");
-    const size_t max_tokens =
-        static_cast<size_t>(flags.getInt("max-tokens", 64));
-    const float temperature =
-        static_cast<float>(flags.getDouble("temperature", 0.0));
-    const uint64_t seed =
-        static_cast<uint64_t>(flags.getInt("seed", 1));
     const bool verbose = flags.getBool("verbose");
     const std::string metrics_out = flags.get("metrics-out", "");
     const std::string trace_out = flags.get("trace-out", "");
@@ -107,65 +100,16 @@ main(int argc, char **argv)
 
     // --tp shards the serving models across simulated tensor-
     // parallel ranks (bit-identical tokens at every degree); the
-    // degree is persisted in snapshots and recording headers so
-    // recovery and replay re-run the same execution shape.
-    const size_t tp_degree =
-        static_cast<size_t>(flags.getInt("tp", 1));
-    model::ModelConfig llm_cfg = model::llmPreset(llm_name);
-    llm_cfg.tensorParallel = tp_degree;
-    model::Transformer llm = model::makeLlm(llm_cfg);
-    const model::Precision ssm_precision = model::parsePrecision(
-        flags.get("ssm-precision", "fp32"));
-    model::Transformer ssm =
-        ssm_precision == model::Precision::Int8
-            ? model::makeInt8Ssm(llm, ssm_layers)
-            : model::makeEarlyExitSsm(llm, ssm_layers);
-
-    core::EngineConfig cfg =
-        temperature > 0.0f
-            ? core::EngineConfig::stochasticDefault(temperature)
-            : core::EngineConfig::greedyDefault();
-    cfg.spec.expansion = tools::parseExpansion(expansion_text);
-    cfg.maxNewTokens = max_tokens;
-    cfg.seed = seed;
-    std::vector<const model::Transformer *> ssms;
-    if (!cfg.spec.expansion.widths.empty())
-        ssms.push_back(&ssm);
-    core::SpecEngine engine(&llm, ssms, cfg);
-
-    runtime::ServingConfig serving;
-    serving.maxBatchSize =
-        static_cast<size_t>(flags.getInt("batch", 4));
-    serving.ssmPrecision = static_cast<uint8_t>(ssm_precision);
-    serving.tpDegree = static_cast<uint8_t>(tp_degree);
+    // degree is persisted in snapshots so recovery re-runs the same
+    // execution shape.
+    std::unique_ptr<tools::ServingStack> stack =
+        tools::servingStackFromFlags(flags);
+    runtime::ServingConfig serving = stack->serving;
     serving.obs = obs_ctx.get();
     serving.journalFsync = flags.getBool("journal-fsync");
     serving.defaultWallDeadlineNanos =
         static_cast<uint64_t>(flags.getInt("wall-deadline-ms", 0)) *
         1000000ULL;
-    {
-        // "i,s,b" per-class bucket capacities / refill periods.
-        unsigned long long a = 0, b = 0, c = 0;
-        const std::string caps = flags.get("class-buckets", "");
-        if (!caps.empty() &&
-            std::sscanf(caps.c_str(), "%llu,%llu,%llu", &a, &b,
-                        &c) == 3) {
-            serving.classBucketCapacity[0] = static_cast<size_t>(a);
-            serving.classBucketCapacity[1] = static_cast<size_t>(b);
-            serving.classBucketCapacity[2] = static_cast<size_t>(c);
-        }
-        const std::string refill = flags.get("class-refill", "");
-        if (!refill.empty() &&
-            std::sscanf(refill.c_str(), "%llu,%llu,%llu", &a, &b,
-                        &c) == 3) {
-            serving.classRefillEveryIterations[0] =
-                static_cast<size_t>(a);
-            serving.classRefillEveryIterations[1] =
-                static_cast<size_t>(b);
-            serving.classRefillEveryIterations[2] =
-                static_cast<size_t>(c);
-        }
-    }
 
     ipc::DaemonConfig dcfg;
     dcfg.dir = flags.get("dir", "");
@@ -176,18 +120,6 @@ main(int argc, char **argv)
     dcfg.journalPath = flags.get("journal", "");
     dcfg.snapshotEvery =
         static_cast<size_t>(flags.getInt("snapshot-every", 64));
-    dcfg.recordPath = flags.get("record", "");
-    dcfg.recordHeader.llm = llm_name;
-    dcfg.recordHeader.ssmLayers = ssm_layers;
-    dcfg.recordHeader.expansion =
-        cfg.spec.expansion.toString();
-    dcfg.recordHeader.seed = seed;
-    dcfg.recordHeader.engineMaxNewTokens = max_tokens;
-    dcfg.recordHeader.temperature =
-        static_cast<double>(temperature);
-    dcfg.recordHeader.ssmPrecision =
-        static_cast<uint8_t>(ssm_precision);
-    dcfg.recordHeader.tpDegree = static_cast<uint8_t>(tp_degree);
     dcfg.obs = obs_ctx.get();
     dcfg.watchdogBudgetNanos =
         static_cast<uint64_t>(
@@ -198,7 +130,7 @@ main(int argc, char **argv)
     dcfg.crashAfterIterations =
         static_cast<uint64_t>(flags.getInt("crash-after", 0));
 
-    ipc::Daemon daemon(&engine, serving, dcfg);
+    ipc::Daemon daemon(&stack->engine, serving, dcfg);
     if (!daemon.start()) {
         std::fprintf(stderr,
                      "specinferd: cannot start (dir '%s')\n",
@@ -206,12 +138,11 @@ main(int argc, char **argv)
         return 1;
     }
     std::printf("specinferd: epoch %llu serving in %s "
-                "(lease %llu ticks%s%s)\n",
+                "(lease %llu ticks%s)\n",
                 static_cast<unsigned long long>(daemon.epoch()),
                 daemon.dir().c_str(),
                 static_cast<unsigned long long>(dcfg.leaseTicks),
-                dcfg.journalPath.empty() ? "" : ", journaled",
-                dcfg.recordPath.empty() ? "" : ", recorded");
+                dcfg.journalPath.empty() ? "" : ", journaled");
     std::fflush(stdout);
 
     std::signal(SIGINT, onStopSignal);
