@@ -68,7 +68,6 @@ simulate(const core::SpecEngine &engine,
 
     runtime::ServingConfig serving;
     serving.maxBatchSize = 8;
-    serving.captureBatchTrace = true; // priced per-iteration below
     runtime::RequestManager manager(&engine, serving);
     std::vector<double> submit_time(requests + 1, 0.0);
     double clock = 0.0;
@@ -89,8 +88,12 @@ simulate(const core::SpecEngine &engine,
             clock = arrival_s[submitted];
             continue;
         }
+        // Without a KV pool or deadlines every active request steps
+        // once per iteration, so the step count is the batch size.
+        const size_t steps_before = manager.stats().requestIterations;
         manager.runIteration();
-        size_t batch = manager.stats().batchSizeTrace.back();
+        const size_t batch =
+            manager.stats().requestIterations - steps_before;
         if (batch > 0) {
             scenario.batchSize = batch;
             clock += sim.iterationLatency(scenario, profile);

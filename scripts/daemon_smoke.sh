@@ -32,7 +32,6 @@ trap cleanup EXIT
 "$BUILD/tools/specinferd" \
     --llm $LLM --max-tokens $MAX_TOKENS --batch 4 \
     --dir "$IPCDIR" --lease-ticks 400 --scan-every 1 \
-    --tick-micros 200 \
     --journal "$WORK/serve.wal" \
     --metrics-out "$WORK/daemon.prom" --verbose \
     >"$WORK/daemon.log" 2>&1 &
@@ -135,7 +134,6 @@ mkdir -p "$IPCDIR2"
 "$BUILD/tools/specinferd" \
     --llm $LLM --max-tokens $MAX_TOKENS --batch 4 --tp 2 \
     --dir "$IPCDIR2" --lease-ticks 400 --scan-every 1 \
-    --tick-micros 200 \
     --metrics-out "$WORK/daemon_tp2.prom" --verbose \
     >"$WORK/daemon_tp2.log" 2>&1 &
 DAEMON_PID=$!

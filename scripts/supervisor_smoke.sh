@@ -40,7 +40,7 @@ trap cleanup EXIT
     --metrics-out "$WORK/supervisor.prom" -- \
     --llm $LLM --max-tokens $MAX_TOKENS --batch 4 \
     --dir "$IPCDIR" --lease-ticks 400 --scan-every 1 \
-    --tick-micros 200 --crash-after 2 \
+    --crash-after 2 \
     --journal "$WORK/serve.wal" --verbose \
     >"$WORK/supervisor.log" 2>&1 &
 SUP_PID=$!

@@ -3,14 +3,17 @@
  * Write-ahead token journal for crash-safe serving.
  *
  * The RequestManager appends one record per scheduling event —
- * request accepted, one decode step committed (with the verified
- * tokens and the post-step sampler/RNG cursor), request preempted,
- * request finished, iteration committed — so that a crash at any
- * point loses at most the record being written. Recovery loads the
- * most recent snapshot and replays the journal tail on top of it
- * (RequestManager::recover), reconstructing the exact pre-crash
- * scheduling state through the same transition functions the live
- * scheduler runs.
+ * request accepted, iteration begun, request admitted, one decode
+ * step committed (with the verified tokens and the post-step
+ * sampler/RNG cursor), request preempted, request finished,
+ * iteration committed. The iteration is the unit of recovery: a
+ * crash loses at most the iteration it lands in, whose records
+ * recovery drops whole (nothing of it has left the process; the
+ * recovered scheduler runs it again, token-identically). Recovery
+ * loads the most recent snapshot and replays the committed journal
+ * tail on top of it (RequestManager::recover), reconstructing the
+ * scheduling state at the last commit through the same transition
+ * functions the live scheduler runs.
  *
  * On-disk format: a bare stream of records, each framed as
  *
@@ -19,9 +22,9 @@
  * little-endian, no file header. The reader is truncation-tolerant
  * by design: a torn tail (short header, short payload, or CRC
  * mismatch — what a crash mid-append leaves behind) terminates the
- * stream cleanly at the last fully valid record, and
- * bytesConsumed() reports the valid prefix length so the caller can
- * cut the file there before resuming appends.
+ * stream cleanly at the last fully valid record. recover() returns
+ * the length up to the last committed iteration, and the caller
+ * cuts the file there before resuming appends.
  *
  * One file holds the journal for the whole life of its path: a
  * recovering process cuts only the torn tail and appends after it
@@ -126,22 +129,17 @@ enum class RecordType : uint8_t
     /** One scheduling iteration committed (clock + degradation). */
     Iteration = 5,
     /**
-     * An iteration began: the iteration index and the wall-clock
-     * reading every deadline decision inside it will use. Written
-     * before any step, so a crash anywhere inside the iteration
-     * leaves recovery the exact timestamp needed to *resume* the
-     * half-journaled iteration (skipping already-replayed steps)
-     * instead of re-running it one clock tick out of phase —
-     * without this, wall-clock deadline expiries could land one
-     * step off after a mid-iteration crash.
+     * An iteration began. Recovery holds back every record after it
+     * until the matching Iteration commit, and drops the iteration
+     * if none follows. The payload (iteration index and the
+     * wall-clock reading the iteration's deadline checks use) is
+     * incident-log data: replay reads neither.
      */
     Begin = 6,
     /**
-     * A pending request was admitted into a batch slot. Replay
-     * re-admits exactly the crashed process's batch, so resuming a
-     * half-journaled iteration never admits into slots that only
-     * freed up mid-iteration (which would let a request start one
-     * clock tick earlier than the uninterrupted run).
+     * A pending request was admitted into a batch slot, with its
+     * prefix-adoption level. Replay re-admits exactly the batch the
+     * live scheduler formed and re-hydrates the adopted rows.
      */
     Admit = 7,
     /**
@@ -207,7 +205,7 @@ struct JournalRecord
      *  (Iteration) or when it began (Begin). */
     uint64_t iteration = 0;
     /** Wall-clock reading (obs::Clock nanos) the iteration's
-     *  deadline checks use (Begin). */
+     *  deadline checks use (Begin; logged, never replayed). */
     uint64_t iterNanos = 0;
     /** KV rows resident right after admission — the prefix-store
      *  adoption level (Admit). The crashed process's store was warm
@@ -297,8 +295,9 @@ class JournalFile
     /**
      * Cut the file at `path` to `length` bytes (creating it when
      * missing) and append from there. Length 0 starts a fresh
-     * journal; the valid length recover() returned drops only a
-     * torn tail and keeps every record before it.
+     * journal; the committed length recover() returned drops only
+     * a torn tail (and the uncommitted iteration it ends) and keeps
+     * every committed record.
      * @param fsync Arm JournalWriter::sync() (ServingConfig::
      *        journalFsync).
      * @return false when the file cannot be opened for writing.
@@ -335,8 +334,7 @@ class JournalReader
      *  clean EOF. */
     bool tornTail() const { return tornTail_; }
 
-    /** Bytes of valid records consumed so far — the length callers
-     *  should truncate a torn journal to before appending again. */
+    /** Bytes of valid records consumed so far. */
     uint64_t bytesConsumed() const { return bytes_; }
 
   private:

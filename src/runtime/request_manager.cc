@@ -32,17 +32,17 @@ constexpr char kSnapMagic[4] = {'S', 'P', 'S', 'N'};
 // same draft-model numerics the crashed process ran.
 // v5: QoS — per-request priority class + wall-clock deadline,
 // per-class ingress bucket state, overload/shed-by-class stats.
-// v6: resumable iterations — open-iteration flag + journaled clock
-// reading + replayed degradation evidence, and a per-active
-// stepped-this-iteration mark, so a snapshot taken right after a
-// mid-iteration recovery carries the resume state.
+// v6: resumable iterations (resume state; removed in v9).
 // v7: tensor-parallel degree byte, so recovery replays the journal
 // under the same sharded execution shape the crashed process ran
 // (logits are bit-identical across TP degrees, but recovery is
 // defined as reproducing the crashed process exactly).
 // v8: sessions carry cache lengths instead of KV rows (session v2);
 // recovery re-derives the rows.
-constexpr uint32_t kSnapVersion = 8;
+// v9: no resume state and no batch-size trace: recovery replays
+// committed iterations only, so a snapshot is always taken between
+// iterations.
+constexpr uint32_t kSnapVersion = 9;
 
 using model::io::readPod;
 using model::io::readPodVector;
@@ -584,21 +584,6 @@ RequestManager::generatedSoFar(uint64_t id) const
     return {};
 }
 
-std::vector<RequestManager::InflightInfo>
-RequestManager::inflight() const
-{
-    std::vector<InflightInfo> out;
-    out.reserve(pending_.size() + active_.size());
-    for (const Request &req : pending_)
-        out.push_back({req.id, req.prompt, req.maxNewTokens,
-                       req.priority});
-    for (const ActiveRequest &ar : active_)
-        out.push_back({ar.request.id, ar.request.prompt,
-                       ar.request.maxNewTokens,
-                       ar.request.priority});
-    return out;
-}
-
 bool
 RequestManager::tryReserve(uint64_t id, size_t tokens)
 {
@@ -836,21 +821,15 @@ void
 RequestManager::noteStep(const core::StepRecord &step)
 {
     ++stats_.requestIterations;
-    if (step.prefill || degr_.speculationDisabled)
-        return;
-    iterSpecRan_ = true;
-    if (step.fallback) {
-        iterFaultSeen_ = true;
+    // Only a step that was allowed to speculate can fall back.
+    if (step.fallback)
         ++stats_.fallbackSteps;
-    }
 }
 
 void
-RequestManager::updateDegradation()
+RequestManager::updateDegradation(bool speculation_ran,
+                                  bool fault_seen)
 {
-    const bool speculation_ran = iterSpecRan_;
-    const bool fault_seen = iterFaultSeen_;
-    iterSpecRan_ = iterFaultSeen_ = false;
     if (cfg_.degradeAfterConsecutiveFaults == 0 || !speculation_ran)
         return;
     if (fault_seen) {
@@ -909,15 +888,8 @@ RequestManager::runIteration()
         return;
     }
 
-    // Resuming a half-journaled iteration after recovery: reuse the
-    // clock reading the crashed process journaled in its Begin
-    // record, so every deadline decision in the resumed half sees
-    // the same timestamp the uninterrupted run would have.
-    const bool resuming = resumeIteration_;
-    resumeIteration_ = false;
     const uint64_t iter_start =
-        resuming ? nowNanos_
-                 : (obs_ != nullptr ? obs_->nowNanos() : 0);
+        obs_ != nullptr ? obs_->nowNanos() : 0;
     // One wall-clock reading per iteration: every wall-deadline
     // decision this iteration compares against it, keeping the
     // number of clock reads independent of queue contents (a
@@ -961,12 +933,7 @@ RequestManager::runIteration()
     const bool may_admit =
         cfg_.policy == SchedulingPolicy::Continuous ||
         active_.empty();
-    // When resuming, Admit replay already rebuilt exactly the batch
-    // the crashed process admitted; running admission again here
-    // would fill slots that only freed up mid-iteration (retired
-    // requests), starting those requests one clock tick earlier
-    // than the uninterrupted run would have.
-    if (may_admit && !resuming) {
+    if (may_admit) {
         while (active_.size() < cfg_.maxBatchSize) {
             // Priority-aware head-of-line: the highest class admits
             // first (queue order within a class), so an Interactive
@@ -1009,19 +976,13 @@ RequestManager::runIteration()
     if (active_.empty()) {
         // Nothing runnable; still counts as a scheduling tick so
         // arrival bookkeeping stays monotone. Nothing stepped, so the
-        // ladder gets no evidence: a resumed iteration whose batch
-        // all retired before the crash drops what replay collected.
-        iterSpecRan_ = iterFaultSeen_ = false;
-        if (cfg_.captureBatchTrace)
-            stats_.batchSizeTrace.push_back(0);
+        // ladder gets no evidence.
         ++stats_.iterations;
         if (journal_)
             journalIteration(false, false);
         obsIterationEnd(0);
         return;
     }
-    if (cfg_.captureBatchTrace)
-        stats_.batchSizeTrace.push_back(active_.size());
     const size_t batch_size = active_.size();
 
     // Injected straggler: the iteration clock jumps forward,
@@ -1049,13 +1010,6 @@ RequestManager::runIteration()
     // and journal each step.
     const bool allow_spec = !degr_.speculationDisabled;
     for (size_t i = 0; i < active_.size();) {
-        // Replay already applied this request's step for the
-        // iteration being resumed (its Step record was durable);
-        // re-running it would double-step the session.
-        if (active_[i].steppedThisIteration) {
-            ++i;
-            continue;
-        }
         const Request &req = active_[i].request;
         if (deadlineExpired(req)) {
             finishActive(i, core::SpecSession::StopReason::Deadline);
@@ -1125,14 +1079,9 @@ RequestManager::runIteration()
     };
     std::vector<Stepping> stepping;
     stepping.reserve(active_.size());
-    for (size_t i = 0; i < active_.size(); ++i) {
-        ActiveRequest &ar = active_[i];
-        if (ar.steppedThisIteration)
-            ar.steppedThisIteration = false;
-        else
-            stepping.push_back({i, ar.session.sequence().size(),
-                                ar.session.logProbs().size()});
-    }
+    for (size_t i = 0; i < active_.size(); ++i)
+        stepping.push_back({i, active_[i].session.sequence().size(),
+                            active_[i].session.logProbs().size()});
 
     // A one-session region runs inline on this thread, keeping the
     // pool for the session's own kernels; wider regions put one
@@ -1143,6 +1092,8 @@ RequestManager::runIteration()
             active_[stepping[k].index].session.advance(allow_spec);
         });
 
+    // The iteration's evidence for the degradation ladder.
+    bool spec_ran = false, fault_seen = false;
     for (const Stepping &st : stepping) {
         ActiveRequest &ar = active_[st.index];
         ar.session.publishStep();
@@ -1159,14 +1110,16 @@ RequestManager::runIteration()
                                           st.lpBefore),
                                   gen.end()));
         }
-        noteStep(ar.session.stats().steps.back());
+        const core::StepRecord &step = ar.session.stats().steps.back();
+        noteStep(step);
+        spec_ran |= allow_spec && !step.prefill;
+        fault_seen |= step.fallback;
         if (journal_) {
             // Crash points around the write-ahead append. Before:
             // the process dies *during* the append, leaving a torn
-            // record (the step is lost and will recompute
-            // deterministically after recovery). After: the record
-            // is durable but nothing past it is — the worst case
-            // for replay, the step committed to the journal only.
+            // record. After: the record is durable but the iteration
+            // commit is not. Either way recovery drops the whole
+            // iteration and re-runs it.
             const bool torn = util::faultAt(util::FaultPoint::Crash);
             if (torn)
                 journal_->tearNextAppend();
@@ -1188,14 +1141,12 @@ RequestManager::runIteration()
     if (!allow_spec)
         ++stats_.degradedIterations;
     ++stats_.iterations;
-    updateDegradation();
+    updateDegradation(spec_ran, fault_seen);
 
     if (journal_) {
         // Crash point: everything this iteration journaled but the
-        // iteration commit itself lost — recovery resumes the
-        // iteration (Begin record), skips the already-replayed
-        // steps, and commits, so even wall-clock deadlines land at
-        // the same session progress as the uninterrupted run.
+        // iteration commit itself lost — recovery drops the
+        // iteration and the recovered process runs it again.
         if (util::faultAt(util::FaultPoint::Crash)) {
             noteCrash();
             return;
@@ -1332,19 +1283,7 @@ RequestManager::writeSnapshot(std::ostream &out) const
         writePod<uint64_t>(out, bucketLevel_[cls]);
         writePod<uint64_t>(out, bucketRefillIteration_[cls]);
     }
-    writePod<uint64_t>(out, stats_.batchSizeTrace.size());
-    for (size_t b : stats_.batchSizeTrace)
-        writePod<uint64_t>(out, b);
-
     writeDegradation(degr_, [&out](auto v) { writePod(out, v); });
-
-    // Resume state (v6): a snapshot taken between a mid-iteration
-    // recovery and the next runIteration must hand the resumed
-    // iteration its journaled clock reading and step evidence.
-    writePod<uint8_t>(out, resumeIteration_ ? 1 : 0);
-    writePod<uint64_t>(out, nowNanos_);
-    writePod<uint8_t>(out, iterSpecRan_ ? 1 : 0);
-    writePod<uint8_t>(out, iterFaultSeen_ ? 1 : 0);
 
     // Backoff-jitter RNG cursor: recovery must resume with the same
     // draw sequence an uninterrupted run would have used, or
@@ -1401,7 +1340,6 @@ RequestManager::writeSnapshot(std::ostream &out) const
                                          ar.request.id)
                                    : 0);
         writePod<uint64_t>(out, ar.cowPending);
-        writePod<uint8_t>(out, ar.steppedThisIteration ? 1 : 0);
         ar.session.save(out);
     }
 
@@ -1501,7 +1439,6 @@ RequestManager::applyRecord(const JournalRecord &rec)
             rec.sessionDone,
             static_cast<core::SpecSession::StopReason>(
                 rec.stopReason));
-        ar.steppedThisIteration = true;
         noteStep(rec.step);
         break;
       }
@@ -1579,34 +1516,18 @@ RequestManager::applyRecord(const JournalRecord &rec)
         if (rec.iterSlow)
             ++stats_.slowIterations;
         degr_ = rec.degradation;
-        // The iteration committed: close the in-flight window the
-        // Begin record opened.
-        resumeIteration_ = false;
-        iterSpecRan_ = iterFaultSeen_ = false;
-        for (ActiveRequest &ar : active_)
-            ar.steppedThisIteration = false;
         break;
       }
 
-      case RecordType::Begin: {
-        // An iteration began. Mirror the live-run speculation
-        // re-enable check first (same state, same clock), so replayed
-        // step evidence below classifies against the allow_spec the
-        // crashed process actually used. If no matching Iteration
-        // commit follows, the crash landed mid-iteration: the next
-        // runIteration resumes it with this journaled clock reading.
-        if (degr_.speculationDisabled &&
-            stats_.iterations >= degr_.reenableIteration)
-            degr_.speculationDisabled = false;
-        resumeIteration_ = true;
-        nowNanos_ = rec.iterNanos;
+      case RecordType::Begin:
+        // recover() consumes it to open the iteration.
         break;
-      }
     }
 }
 
 uint64_t
-RequestManager::recover(std::istream *snapshot, std::istream *journal)
+RequestManager::recover(std::istream *snapshot, std::istream *journal,
+                        const std::function<void()> &onCommit)
 {
     SPECINFER_CHECK(!crashed_ && stats_.iterations == 0 &&
                     pending_.empty() && active_.empty() &&
@@ -1651,21 +1572,9 @@ RequestManager::recover(std::istream *snapshot, std::istream *journal)
             bucketRefillIteration_[cls] =
                 readPod<uint64_t>(*snapshot);
         }
-        uint64_t trace_len = readPod<uint64_t>(*snapshot);
-        SPECINFER_CHECK(trace_len < (1ull << 32),
-                        "implausible snapshot trace length");
-        stats_.batchSizeTrace.resize(trace_len);
-        for (uint64_t i = 0; i < trace_len; ++i)
-            stats_.batchSizeTrace[i] = readPod<uint64_t>(*snapshot);
-
         degr_ = readDegradation([snapshot](auto t) {
             return readPod<decltype(t)>(*snapshot);
         });
-
-        resumeIteration_ = readPod<uint8_t>(*snapshot) != 0;
-        nowNanos_ = readPod<uint64_t>(*snapshot);
-        iterSpecRan_ = readPod<uint8_t>(*snapshot) != 0;
-        iterFaultSeen_ = readPod<uint8_t>(*snapshot) != 0;
 
         util::RngState rng_state;
         for (uint64_t &word : rng_state.s)
@@ -1716,7 +1625,6 @@ RequestManager::recover(std::istream *snapshot, std::istream *journal)
                 readPodVector<uint64_t>(*snapshot);
             uint64_t partial = readPod<uint64_t>(*snapshot);
             uint64_t cow_pending = readPod<uint64_t>(*snapshot);
-            const bool stepped = readPod<uint8_t>(*snapshot) != 0;
             core::SpecSession session =
                 engine_->loadSession(*snapshot, req.id);
             if (kvPool_) {
@@ -1737,7 +1645,7 @@ RequestManager::recover(std::istream *snapshot, std::istream *journal)
             if (prefixStore_)
                 session.enablePrefixSharing(prefixStore_.get());
             active_.push_back({std::move(req), std::move(session),
-                               start_iter, cow_pending, stepped});
+                               start_iter, cow_pending});
         }
 
         uint64_t n_finished = readPod<uint64_t>(*snapshot);
@@ -1764,21 +1672,42 @@ RequestManager::recover(std::istream *snapshot, std::istream *journal)
             journal->seekg(start +
                            static_cast<std::streamoff>(skip));
         }
+        // The iteration is the unit of recovery: the records after a
+        // Begin apply when its Iteration commit arrives, and an
+        // iteration the journal ends inside is dropped with the torn
+        // tail. Records between iterations apply as read.
         JournalReader reader(*journal);
         JournalRecord rec;
+        std::vector<JournalRecord> held; // the open iteration's records
+        bool open = false;
         replaying_ = true;
-        while (reader.next(rec))
-            applyRecord(rec);
+        while (reader.next(rec)) {
+            if (rec.type == RecordType::Begin) {
+                SPECINFER_CHECK(!open, "journal Begin of iteration "
+                                           << rec.iteration
+                                           << " inside an open "
+                                              "iteration");
+                open = true;
+            } else if (open && rec.type != RecordType::Iteration) {
+                held.push_back(rec);
+            } else {
+                for (const JournalRecord &r : held)
+                    applyRecord(r);
+                held.clear();
+                applyRecord(rec);
+                open = false;
+                replayed = reader.bytesConsumed();
+                if (onCommit && rec.type == RecordType::Iteration)
+                    onCommit();
+            }
+        }
         replaying_ = false;
-        replayed = reader.bytesConsumed();
     }
 
-    // A session that finished in the crash iteration without its
-    // Finish record is retired when the resumed iteration runs. At a
-    // committed boundary there is none: the retire loop journals
-    // every Finish before the Iteration commit.
+    // The retire loop journals every Finish before the Iteration
+    // commit, so no committed state holds a finished session.
     for (const ActiveRequest &ar : active_)
-        SPECINFER_CHECK(resumeIteration_ || !ar.session.done(),
+        SPECINFER_CHECK(!ar.session.done(),
                         "request "
                             << ar.request.id
                             << " finished at a committed iteration "

@@ -194,12 +194,6 @@ struct ServingConfig
      */
     bool journalFsync = false;
 
-    /** Record per-iteration batch sizes in
-     *  ServingStats::batchSizeTrace. Off by default: the trace
-     *  grows linearly with iterations, which long-running soaks
-     *  cannot afford. */
-    bool captureBatchTrace = false;
-
     /**
      * Observability context (non-owning). Resolved against the
      * process-global context at construction (obs::resolveObs); when
@@ -221,11 +215,6 @@ struct ServingStats
     size_t requestIterations = 0;
     /** Requests preempted and restarted due to KV pool pressure. */
     size_t preemptions = 0;
-    /** Active batch size of every iteration, in order (0 = idle
-     *  tick); lets callers price each iteration through a hardware
-     *  model. Only recorded when ServingConfig::captureBatchTrace
-     *  is set — the trace grows without bound otherwise. */
-    std::vector<size_t> batchSizeTrace;
 
     // --- Failure / degradation observability ----------------------
 
@@ -389,17 +378,6 @@ class RequestManager
      *  reconnecting after a daemon restart. */
     std::vector<int> generatedSoFar(uint64_t id) const;
 
-    /** Identity of every pending or active request (a restarting
-     *  daemon re-records its recovered in-flight stream). */
-    struct InflightInfo
-    {
-        uint64_t id = 0;
-        std::vector<int> prompt;
-        size_t maxNewTokens = 0;
-        Priority priority = Priority::Standard;
-    };
-    std::vector<InflightInfo> inflight() const;
-
     /**
      * Sync ServingStats, queue depths, and thread-pool job counts
      * into the serving_* / pool_* gauges. Gauge-sync (rather than
@@ -469,28 +447,40 @@ class RequestManager
      * config as the crashed one — the caller's responsibility):
      * load the snapshot (if any), then replay the journal tail on
      * top of it. Replay runs the live transitions (admit, finish,
-     * step evidence): journaled steps are re-applied token-for-token
+     * step counts): journaled steps are re-applied token-for-token
      * with their stored RNG cursors and their KV rows recomputed
      * eagerly, so recovered outputs are bit-identical to an
-     * uninterrupted run. FCFS order, verified prefixes,
-     * preemption/backoff state, and KV pool holdings are all
-     * preserved; a torn tail record (crash mid-append) is
-     * discarded, and the lost step simply recomputes
-     * deterministically. Replay appends nothing to an attached
-     * journal. A journal that breaks the emission order (a Step or
-     * Preempt without its Admit, a finished session without its
-     * Finish at a committed boundary) is refused.
+     * uninterrupted run.
+     *
+     * The iteration is the unit of recovery. Records between a
+     * Begin and its Iteration commit apply only once the commit is
+     * read; an iteration the crash cut short (no commit, or a torn
+     * record) is dropped whole, and the next runIteration re-runs it
+     * from the committed state, token-identically (faults are keyed
+     * by request and iteration or step, RNG cursors are committed
+     * per step, and nothing of the lost iteration left the process).
+     * Records between iterations (Submit, and the Finish of a
+     * cancel() or of a shed inside submit()) apply as read. Replay
+     * appends nothing to an attached journal. A journal that breaks
+     * the emission order (a Step or Preempt without its Admit, a
+     * Begin inside an open iteration, a finished session without its
+     * Finish) is refused.
      *
      * @param snapshot Snapshot stream, or nullptr to replay the
      *        whole journal from an empty manager.
      * @param journal Journal stream positioned at its first record,
      *        or nullptr to restore the snapshot alone. It must hold
      *        at least the bytes the snapshot covers.
-     * @return Length in bytes of the valid journal prefix (skip +
-     *         replayed records); callers resuming appends into the
-     *         same file cut it to this length first (JournalFile).
+     * @param onCommit Called after each replayed Iteration commit,
+     *        when the manager holds that iteration's committed state
+     *        (the differential oracle compares it there), or empty.
+     * @return Length in bytes of the committed journal prefix (skip
+     *         + applied records; it ends before the Begin of a lost
+     *         iteration); callers resuming appends into the same
+     *         file cut it to this length first (JournalFile).
      */
-    uint64_t recover(std::istream *snapshot, std::istream *journal);
+    uint64_t recover(std::istream *snapshot, std::istream *journal,
+                     const std::function<void()> &onCommit = {});
 
     /** True once an injected Crash fault halted runIteration();
      *  the manager must be abandoned and rebuilt via recover(). */
@@ -516,11 +506,6 @@ class RequestManager
          *  the request's first step writes past the divergence
          *  point (0 = none pending). */
         uint64_t cowPending = 0;
-        /** Replay bookkeeping: this request already stepped in the
-         *  half-journaled iteration being resumed, so the resuming
-         *  runIteration must skip it (set by Step replay, cleared at
-         *  iteration commit). */
-        bool steppedThisIteration = false;
     };
 
     /** Remove and return pending_[index]. */
@@ -557,8 +542,7 @@ class RequestManager
     /** Release the request's KV holding, if it has one. */
     void releaseKv(uint64_t id);
 
-    /** Count one committed step toward the iteration's evidence
-     *  (requestIterations, spec-ran/fault-seen, fallbackSteps);
+    /** Count one committed step (requestIterations, fallbackSteps);
      *  the live loop and Step replay both call it. */
     void noteStep(const core::StepRecord &step);
 
@@ -632,9 +616,10 @@ class RequestManager
      *  arrival within a class; pending_.size() when none. */
     size_t shedVictimIndex() const;
 
-    /** Feed the iteration's step evidence to the degradation
-     *  ladder, consuming it. */
-    void updateDegradation();
+    /** Feed one iteration's step evidence to the degradation
+     *  ladder: whether any step speculated, and whether any of
+     *  those hit an injected fault. */
+    void updateDegradation(bool speculation_ran, bool fault_seen);
 
     /** Journal one committed decode step of active_[index] (the
      *  tokens/log-probs appended beyond the given pre-step sizes). */
@@ -687,22 +672,6 @@ class RequestManager
      *  submit); all wall-deadline decisions compare against this,
      *  never a fresh read, so a ManualClock drives them exactly. */
     uint64_t nowNanos_ = 0;
-    /**
-     * Recovery replayed a Begin record without its matching
-     * Iteration commit: the crash landed mid-iteration. The next
-     * runIteration *resumes* that iteration — it reuses the
-     * journaled nowNanos_ instead of reading the clock, skips
-     * admission (Admit replay already rebuilt the batch), and skips
-     * sessions whose Step records were replayed — so deadline
-     * decisions land at exactly the same session progress as the
-     * uninterrupted run.
-     */
-    bool resumeIteration_ = false;
-    /** Step evidence of the current iteration (noteStep), live or
-     *  replayed, consumed at its commit — so a resumed iteration
-     *  feeds updateDegradation the signals the crashed process saw. */
-    bool iterSpecRan_ = false;
-    bool iterFaultSeen_ = false;
     /** Inside recover()'s journal replay: accept(), admit() and
      *  finish() neither trace nor journal. */
     bool replaying_ = false;

@@ -134,8 +134,9 @@ FaultInjector::fireKeyed(FaultPoint point, uint64_t key)
         } else if (probability_[p] > 0.0) {
             // Pure hash, never the shared RNG stream: the decision
             // depends only on (seed, point, key), so re-consulting
-            // after a crash-replay resume repeats the answer and
-            // never shifts another point's schedule.
+            // when a recovered process re-runs a lost iteration
+            // repeats the answer and never shifts another point's
+            // schedule.
             fires = keyedUniform(seed_, p, key) < probability_[p];
         }
     }

@@ -791,6 +791,9 @@ runRecoveryTrial(uint64_t seed, bool verbose)
     // attributable to recovery alone — even when wall-clock
     // deadlines make fault-induced delays observable in the output.
     std::vector<runtime::RequestResult> baseline;
+    // The KV pool after every iteration: the state each committed
+    // iteration of the crash run's journal must replay to.
+    std::vector<std::map<uint64_t, size_t>> baseline_pools;
     {
         util::FaultInjector base_injector(seed ^ 0xc7a5d1ULL);
         util::FaultScope base_scope(&base_injector);
@@ -813,6 +816,7 @@ runRecoveryTrial(uint64_t seed, bool verbose)
                 ++next;
             }
             mgr.runIteration();
+            baseline_pools.push_back(kvPoolState(mgr));
             ++it;
             if (++guard > 20000) {
                 out.ok = false;
@@ -904,8 +908,8 @@ runRecoveryTrial(uint64_t seed, bool verbose)
     while (next < script.size() || mgr->busy()) {
         // Same clock schedule as the baseline: a crash retries the
         // driver iteration without advancing `it`, so the recovered
-        // manager's first live iteration reads the very timestamp
-        // the crashed one would have.
+        // manager re-runs the lost iteration at the very timestamp
+        // the crashed one read.
         clock->set(kEpoch + it * kTick);
         while (next < script.size() &&
                script[next].driverIter <= it) {
@@ -917,6 +921,9 @@ runRecoveryTrial(uint64_t seed, bool verbose)
                             "recovery trial crash-run reject");
             ++next;
         }
+        // Recovery rebuilds the state at the last commit: the one
+        // this iteration started from.
+        const std::map<uint64_t, size_t> pool_before = kvPoolState(*mgr);
         mgr->runIteration();
         if (mgr->crashed()) {
             ++crashes;
@@ -940,16 +947,17 @@ runRecoveryTrial(uint64_t seed, bool verbose)
             auto new_writer = std::make_unique<runtime::JournalWriter>(
                 *new_buf, valid);
             recovered->attachJournal(new_writer.get());
-            // Every allocator call of an iteration is journaled
-            // before the next crash point, so the recovered pool
-            // equals the crashed one. Eviction picks its victim from
-            // the resident set: replay that grew and released out of
-            // the live order would leave a different prefix cache
-            // even where every output still matches.
-            if (kvPoolState(*recovered) != kvPoolState(*mgr)) {
+            // Recovery drops the iteration the crash landed in, so
+            // the recovered pool is the crashed process's pool before
+            // that iteration. Eviction picks its victim from the
+            // resident set: replay that grew and released out of the
+            // live order would leave a different prefix cache even
+            // where every output still matches.
+            if (kvPoolState(*recovered) != pool_before) {
                 out.ok = false;
                 out.detail = "recovered KV pool differs from the "
-                             "crashed one (crash " +
+                             "crashed one's before its last iteration "
+                             "(crash " +
                              std::to_string(crashes) + ")";
                 return out;
             }
@@ -1010,13 +1018,37 @@ runRecoveryTrial(uint64_t seed, bool verbose)
         runtime::RequestManager replayed(&engine, scfg);
         const std::string journal_bytes = journal_buf->str();
         std::stringstream journal_in(journal_bytes);
-        const uint64_t valid = replayed.recover(nullptr, &journal_in);
+        // Every committed iteration replays to the pool the
+        // uninterrupted run had after it: replay that grew and
+        // released out of the live order evicts other blocks.
+        size_t commits = 0;
+        std::string pool_error;
+        const uint64_t valid = replayed.recover(
+            nullptr, &journal_in, [&]() {
+                if (pool_error.empty() &&
+                    (commits >= baseline_pools.size() ||
+                     kvPoolState(replayed) != baseline_pools[commits]))
+                    pool_error = "journal replayed from byte 0 rebuilt "
+                                 "a different KV pool at iteration " +
+                                 std::to_string(commits);
+                ++commits;
+            });
         if (valid != journal_bytes.size()) {
             out.ok = false;
             out.detail = "journal replayed from byte 0 stopped at " +
                          std::to_string(valid) + " of " +
                          std::to_string(journal_bytes.size()) +
                          " bytes";
+            return out;
+        }
+        if (pool_error.empty() && commits != baseline_pools.size())
+            pool_error = "journal replayed from byte 0 holds " +
+                         std::to_string(commits) + " of " +
+                         std::to_string(baseline_pools.size()) +
+                         " iterations";
+        if (!pool_error.empty()) {
+            out.ok = false;
+            out.detail = pool_error;
             return out;
         }
         replayed_results = replayed.takeFinished();

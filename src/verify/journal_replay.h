@@ -25,7 +25,7 @@ struct JournalReplayResult
     size_t submits = 0;         ///< journaled requests re-driven
     size_t finishesChecked = 0; ///< journaled results compared
     size_t mismatches = 0;
-    uint64_t validBytes = 0;    ///< journal prefix that parsed
+    uint64_t validBytes = 0;    ///< committed journal prefix
     bool tornTail = false;      ///< journal ended in a torn frame
 };
 

@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <sstream>
 
 #include "../model/test_models.h"
@@ -231,14 +232,22 @@ TEST(PriorityTest, RandomizedShedSoakProtectsHigherClasses)
     constexpr size_t kBatch = static_cast<size_t>(Priority::Batch);
 
     size_t accepted = 0, queue_full = 0;
+    std::map<uint64_t, Priority> unfinished; // accepted id -> class
     for (size_t round = 0; round < 1500; ++round) {
         if (rng.uniformInt(100) < 55) {
-            // Pre-arrival census of the sheddable (pending) set:
-            // inflight() lists pending requests first.
+            // Pre-arrival census of the sheddable (pending) set.
             size_t census[3] = {0, 0, 0};
-            const auto live = mgr.inflight();
-            for (size_t k = 0; k < mgr.pendingCount(); ++k)
-                ++census[static_cast<size_t>(live[k].priority)];
+            for (auto it = unfinished.begin(); it != unfinished.end();) {
+                const RequestManager::RequestPhase ph =
+                    mgr.phase(it->first);
+                if (ph == RequestManager::RequestPhase::Finished) {
+                    it = unfinished.erase(it);
+                    continue;
+                }
+                if (ph == RequestManager::RequestPhase::Pending)
+                    ++census[static_cast<size_t>(it->second)];
+                ++it;
+            }
             uint64_t before[3];
             for (size_t c = 0; c < 3; ++c)
                 before[c] = mgr.stats().shedByClass[c];
@@ -248,9 +257,10 @@ TEST(PriorityTest, RandomizedShedSoakProtectsHigherClasses)
             for (int k = 0; k < 2 + rng.uniformInt(4); ++k)
                 prompt.push_back(2 + rng.uniformInt(12));
             SubmitResult s = mgr.submit(prompt, 0, 0, cls);
-            if (s.accepted())
+            if (s.accepted()) {
                 ++accepted;
-            else if (s.reject == RejectReason::QueueFull)
+                unfinished[s.id] = cls;
+            } else if (s.reject == RejectReason::QueueFull)
                 ++queue_full;
 
             const ServingStats &st = mgr.stats();

@@ -33,6 +33,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -198,9 +199,10 @@ runBoundaryRecovery(bool with_snapshot)
     // copy of the active sessions' LLM K rows. After a decode step a
     // session caches all but its last token.
     size_t cached = 0;
-    for (const RequestManager::InflightInfo &info : live.inflight())
-        cached += info.prompt.size() +
-                  live.generatedSoFar(info.id).size() - 1;
+    for (uint64_t id = 1; id <= 2; ++id)
+        if (live.phase(id) == RequestManager::RequestPhase::Active)
+            cached += prompts[id - 1].size() +
+                      live.generatedSoFar(id).size() - 1;
     ASSERT_GT(cached, 0u);
     EXPECT_LT(live_snapshot.size(),
               cached * f.llm.config().nLayers *
@@ -515,13 +517,8 @@ TEST(RecoveryDeathTest, JournalShorterThanItsSnapshotRefusesRecovery)
     const std::string bytes = journal_buf.str();
     RequestManager recovered(f.engine.get(), cfg);
     std::stringstream short_journal(bytes.substr(0, bytes.size() - 1));
-    // The child re-executes the binary instead of forking this
-    // process: a forked child of the pooled process blocks here.
-    const std::string style = ::testing::FLAGS_gtest_death_test_style;
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     EXPECT_DEATH(recovered.recover(&snapshot, &short_journal),
                  "but its snapshot covers");
-    ::testing::FLAGS_gtest_death_test_style = style;
 }
 
 // ----------------------------------------------------------------
@@ -707,6 +704,17 @@ submittedNotAdmitted()
     return {submit, begin};
 }
 
+/** The commit of iteration 0: replay applies an iteration's records
+ *  only once it reads this. */
+JournalRecord
+iterationCommit()
+{
+    JournalRecord commit;
+    commit.type = RecordType::Iteration;
+    commit.iteration = 1;
+    return commit;
+}
+
 TEST(RecoveryDeathTest, StepWithoutAdmitRefusesRecovery)
 {
     EngineFixture f;
@@ -717,6 +725,7 @@ TEST(RecoveryDeathTest, StepWithoutAdmitRefusesRecovery)
     step.step.prefill = true;
     step.step.llmChunkTokens = 3;
     records.push_back(step);
+    records.push_back(iterationCommit());
     std::stringstream journal_in(journalOf(records));
     RequestManager mgr(f.engine.get(), ServingConfig{});
     EXPECT_DEATH(mgr.recover(nullptr, &journal_in),
@@ -733,10 +742,121 @@ TEST(RecoveryDeathTest, PreemptWithoutAdmitRefusesRecovery)
     preempt.preemptionCount = 1;
     preempt.earliestRestart = 2;
     records.push_back(preempt);
+    records.push_back(iterationCommit());
     std::stringstream journal_in(journalOf(records));
     RequestManager mgr(f.engine.get(), ServingConfig{});
     EXPECT_DEATH(mgr.recover(nullptr, &journal_in),
                  "journal Preempt for request 1 without its Admit");
+}
+
+TEST(RecoveryDeathTest, BeginInsideAnOpenIterationRefusesRecovery)
+{
+    // Every iteration commits before the next one begins.
+    EngineFixture f;
+    std::vector<JournalRecord> records = submittedNotAdmitted();
+    JournalRecord begin;
+    begin.type = RecordType::Begin;
+    begin.iteration = 1;
+    records.push_back(begin);
+    std::stringstream journal_in(journalOf(records));
+    RequestManager mgr(f.engine.get(), ServingConfig{});
+    EXPECT_DEATH(mgr.recover(nullptr, &journal_in),
+                 "journal Begin of iteration 1 inside an open "
+                 "iteration");
+}
+
+// ----------------------------------------------------------------
+// The iteration is the unit of recovery.
+
+/** Record types of a journal from byte `from` on. */
+std::vector<RecordType>
+recordTypesFrom(const std::string &journal, uint64_t from)
+{
+    std::stringstream in(journal.substr(static_cast<size_t>(from)));
+    JournalReader reader(in);
+    JournalRecord rec;
+    std::vector<RecordType> types;
+    while (reader.next(rec))
+        types.push_back(rec.type);
+    return types;
+}
+
+/**
+ * Serve {4,8,15} for two iterations, then submit {16,23,42}, let
+ * `between` act on the manager (say, a cancel), and crash the third
+ * iteration right after its first Step record is durable: the journal
+ * then ends in Begin, Admit and Step with no Iteration commit.
+ * Recovery must drop that iteration whole, returning the offset of its
+ * Begin and the state the live manager had before it, and the
+ * recovered manager must finish like one that never crashed.
+ */
+void
+runLostIteration(const std::function<void(RequestManager &)> &between)
+{
+    EngineFixture f;
+    ServingConfig cfg;
+    cfg.maxBatchSize = 2;
+    auto drive = [&](RequestManager &mgr) {
+        ASSERT_TRUE(mgr.submit({4, 8, 15}).accepted());
+        for (int it = 0; it < 2; ++it)
+            mgr.runIteration();
+        ASSERT_EQ(mgr.activeCount(), 1u);
+        ASSERT_TRUE(mgr.submit({16, 23, 42}).accepted());
+        between(mgr);
+    };
+
+    RequestManager live(f.engine.get(), cfg);
+    std::stringstream journal_buf;
+    JournalWriter journal(journal_buf);
+    live.attachJournal(&journal);
+    drive(live);
+    std::stringstream committed;
+    live.writeSnapshot(committed);
+    const uint64_t begin_at = journal.bytesWritten();
+    {
+        // Crash consultations: the iteration boundary, then the two
+        // around the first Step append; the third fires after it.
+        FaultInjector fi;
+        fi.armAt(FaultPoint::Crash, 3);
+        FaultScope scope(&fi);
+        live.runIteration();
+    }
+    ASSERT_TRUE(live.crashed());
+    const std::string bytes = journal_buf.str();
+    ASSERT_EQ(recordTypesFrom(bytes, begin_at),
+              (std::vector<RecordType>{RecordType::Begin,
+                                       RecordType::Admit,
+                                       RecordType::Step}));
+
+    RequestManager recovered(f.engine.get(), cfg);
+    std::stringstream journal_in(bytes);
+    EXPECT_EQ(recovered.recover(nullptr, &journal_in), begin_at);
+    expectSameSnapshot(recovered, committed.str());
+    recovered.runUntilDrained();
+
+    RequestManager reference(f.engine.get(), cfg);
+    drive(reference);
+    reference.runUntilDrained();
+    EXPECT_EQ(finishedMap(recovered), finishedMap(reference));
+    ASSERT_EQ(recovered.finished().size(), reference.finished().size());
+    for (size_t i = 0; i < reference.finished().size(); ++i)
+        EXPECT_EQ(recovered.finished()[i].stopReason,
+                  reference.finished()[i].stopReason);
+}
+
+TEST(RecoveryTest, UncommittedIterationRecoversToTheLastCommit)
+{
+    runLostIteration([](RequestManager &) {});
+}
+
+TEST(RecoveryTest, CancelBeforeALostIterationIsKept)
+{
+    // The Finish of a cancel() between iterations is committed when
+    // written: the crash of the next iteration does not undo it.
+    runLostIteration([](RequestManager &mgr) {
+        ASSERT_TRUE(mgr.cancel(1));
+        ASSERT_EQ(mgr.activeCount(), 0u);
+    });
 }
 
 // ----------------------------------------------------------------
@@ -815,22 +935,27 @@ TEST(RecoverySoakTest, CrashesUnderFaultLoadKeepEveryInvariant)
     std::string snap_bytes; // empty = no snapshot yet
 
     // Discard the crashed manager and rebuild purely from the
-    // persisted bytes; start a fresh journal epoch (new journal +
-    // immediate snapshot) so the *next* crash recovers too.
+    // persisted bytes, as a recovering daemon does with its file: cut
+    // the journal to the committed length recover() returns, append
+    // after it, and snapshot at once so the *next* crash recovers
+    // from there.
     auto recoverNow = [&]() {
         ++crashes;
-        auto buf2 = std::unique_ptr<std::stringstream>(
-            new std::stringstream);
-        auto journal2 = std::unique_ptr<JournalWriter>(
-            new JournalWriter(*buf2));
+        std::string bytes = journal_buf->str();
         auto fresh = std::unique_ptr<RequestManager>(
             new RequestManager(&engine, cfg));
-        fresh->attachJournal(journal2.get());
-        std::stringstream journal_in(journal_buf->str());
+        std::stringstream journal_in(bytes);
         std::unique_ptr<std::stringstream> snap_in;
         if (!snap_bytes.empty())
             snap_in.reset(new std::stringstream(snap_bytes));
-        fresh->recover(snap_in.get(), &journal_in);
+        const uint64_t valid =
+            fresh->recover(snap_in.get(), &journal_in);
+        auto buf2 = std::unique_ptr<std::stringstream>(
+            new std::stringstream);
+        buf2->write(bytes.data(), static_cast<std::streamsize>(valid));
+        auto journal2 = std::unique_ptr<JournalWriter>(
+            new JournalWriter(*buf2, valid));
+        fresh->attachJournal(journal2.get());
         manager = std::move(fresh);
         journal = std::move(journal2);
         journal_buf = std::move(buf2);
@@ -954,6 +1079,22 @@ TEST(RecoverySoakTest, CrashesUnderFaultLoadKeepEveryInvariant)
     EXPECT_GT(normal, 0u) << fi.reproLine();
     EXPECT_EQ(manager->kvPool()->usedBlocks(), 0u)
         << fi.reproLine();
+
+    // The one journal, cut at every crash and replayed from byte 0,
+    // holds the live run's whole history.
+    RequestManager replayed(&engine, cfg);
+    const std::string all = journal_buf->str();
+    std::stringstream all_in(all);
+    EXPECT_EQ(replayed.recover(nullptr, &all_in), all.size());
+    const std::vector<RequestResult> &want = manager->finished();
+    const std::vector<RequestResult> &got = replayed.finished();
+    ASSERT_EQ(got.size(), want.size()) << fi.reproLine();
+    for (size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(got[i].id, want[i].id) << "result " << i;
+        EXPECT_EQ(got[i].tokens, want[i].tokens) << "id " << want[i].id;
+        EXPECT_EQ(got[i].stopReason, want[i].stopReason)
+            << "id " << want[i].id;
+    }
     EXPECT_EQ(manager->kvPool()->stats().redundantReleases, 0u)
         << fi.reproLine();
 

@@ -16,7 +16,6 @@
  *              [--dir DIR]            IPC dir ($SPECINFER_IPC_DIR,
  *                                     then /dev/shm)
  *              [--lease-ticks 64] [--scan-every 4]
- *              [--tick-micros 1000]   wall-clock tick cadence
  *              [--max-ticks 0]        stop after N ticks (CI; 0 =
  *                                     run until signalled)
  *              [--journal PATH]       write-ahead journal (crash
@@ -38,6 +37,16 @@
  *              [--crash-after N]      simulate a crash after N live
  *                                     iterations (supervisor smoke)
  *              [--metrics-out F] [--trace-out F] [--verbose]
+ *
+ * The main loop ticks back to back while the manager has requests
+ * pending or active, and sleeps 1 ms after a tick that leaves it
+ * with none, so a lease of N ticks spans at least N ms only while
+ * the daemon is idle.
+ *
+ * Recovery replays the journal's committed iterations: an iteration
+ * a crash cut short is dropped and runs again, which is safe because
+ * its token frames were never flushed (the daemon flushes after
+ * runIteration returns).
  *
  * SIGTERM/SIGINT triggers a graceful drain: admission stops
  * (submits come back Rejected(Draining)), in-flight requests finish
@@ -83,8 +92,8 @@ main(int argc, char **argv)
     util::Flags flags(argc, argv);
     std::vector<std::string> allowed = tools::servingFlagNames();
     allowed.insert(allowed.end(),
-                   {"dir", "lease-ticks", "scan-every", "tick-micros",
-                    "max-ticks", "journal", "snapshot-every",
+                   {"dir", "lease-ticks", "scan-every", "max-ticks",
+                    "journal", "snapshot-every",
                     "journal-fsync", "wall-deadline-ms",
                     "watchdog-budget-ms", "stall-degrade",
                     "crash-after", "metrics-out", "trace-out",
@@ -148,16 +157,15 @@ main(int argc, char **argv)
     std::signal(SIGINT, onStopSignal);
     std::signal(SIGTERM, onStopSignal);
 
-    const auto tick_sleep = std::chrono::microseconds(
-        static_cast<long>(flags.getInt("tick-micros", 1000)));
     const uint64_t max_ticks =
         static_cast<uint64_t>(flags.getInt("max-ticks", 0));
 
     while (g_stop == 0 &&
            (max_ticks == 0 || daemon.ticks() < max_ticks)) {
         daemon.tick();
-        if (tick_sleep.count() > 0)
-            std::this_thread::sleep_for(tick_sleep);
+        // Busy ticks run back to back; only an idle daemon sleeps.
+        if (!daemon.manager().busy())
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
 
     std::printf("specinferd: draining (%zu clients, %zu requests "
